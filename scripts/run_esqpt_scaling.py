@@ -3,9 +3,9 @@
 
 For each molecule count N, targets eigenvector k = q*N, scans the coupling
 over the auto-refocused window, and regresses the maximum unscaled
-inversion against N on log-log axes.  The full run (N up to 3200, both
-spectrum ratios, two field frequencies) takes a few minutes; --quick cuts
-it down for a smoke check.
+inversion against N on log-log axes.  The full oracle run (N up to 3200,
+both spectrum ratios, two field frequencies) takes a few seconds; --quick
+cuts it down for a smoke check.
 """
 import argparse
 import sys

@@ -235,11 +235,14 @@ def save_tow_summary_csv(
 
 
 def save_bench_csv(records: Sequence[BenchRecord], path: str | Path) -> None:
+    """Bench schema n,method,wall_time,iterations,timed_out (timed_out is 0/1)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["n", "method", "wall_time", "iterations"])
+        w.writerow(["n", "method", "wall_time", "iterations", "timed_out"])
         for r in records:
-            w.writerow([r.n, r.method, _fmt(r.wall_time), r.iterations])
+            w.writerow(
+                [r.n, r.method, _fmt(r.wall_time), r.iterations, int(r.timed_out)]
+            )
 
 
 def save_eigenvalue_csv(

@@ -16,10 +16,11 @@ kappa = 0 and carries no finite-size signal.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.stats import linregress
 from scipy.stats import t as student_t
 
@@ -46,6 +47,7 @@ __all__ = [
 _GRID_POINTS = 61
 _REFINE_SPAN = 2  # coarse steps on each side of the argmax
 _WINDOW = (0.8, 1.2)  # auto grid around the level-crossing coupling
+_CROSSING_RTOL = 4.0 * np.finfo(np.float64).eps  # the finest brentq accepts
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,8 @@ def critical_coupling_at_ratio(p: JCParams, q: float) -> float:
     """Coupling where eigenvalue k = q*N crosses the separatrix energy j*omega0.
 
     Levels above the ground state sink through j*omega0 as kappa grows; the
-    crossing is located by bisection on the oracle eigenvalue.
+    crossing is bracketed by doubling the coupling and then located by
+    Brent's method on the oracle eigenvalue.
     """
     k = _target_index(p, q)
     if k == 0:
@@ -144,21 +147,17 @@ def critical_coupling_at_ratio(p: JCParams, q: float) -> float:
             "level k does not start above the separatrix energy; "
             "refocusing requires omega > omega0"
         )
-    hi = max(critical_coupling(p.omega0, p.omega), 1.0)
+    lo, hi = 0.0, max(critical_coupling(p.omega0, p.omega), 1.0)
     for _ in range(60):
         if _level_at(p, k, hi) < target:
             break
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
     else:
         raise ParameterError("no crossing found while doubling the coupling")
-    lo = 0.0
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if _level_at(p, k, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(
+        brentq(lambda kappa: _level_at(p, k, kappa) - target, lo, hi,
+               xtol=1e-15, rtol=_CROSSING_RTOL)
+    )
 
 
 def auto_kappa_grid(
@@ -187,6 +186,47 @@ class ScanRow:
     converged: bool
 
 
+_ROW_DTYPE = np.dtype(
+    [("kappa", "f8"), ("inversion", "f8"), ("scaled_energy", "f8"), ("converged", "?")]
+)
+
+
+class ScanRows(Sequence[ScanRow]):
+    """Read-only sequence of ScanRow backed by one structured array.
+
+    A scan keeps about 25 bytes per row this way instead of a ScanRow object
+    with four boxed fields, which matters when many scans are held at once.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, rows: Iterable[ScanRow]):
+        self._data = np.array(
+            [(r.kappa, r.inversion, r.scaled_energy, r.converged) for r in rows],
+            dtype=_ROW_DTYPE,
+        )
+        self._data.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ScanRows(self[k] for k in range(*i.indices(len(self))))
+        return ScanRow(*self._data[i].tolist())
+
+    def __iter__(self) -> Iterator[ScanRow]:
+        return (ScanRow(*rec) for rec in self._data.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"ScanRows({list(self)!r})"
+
+
 @dataclass
 class ScanResult:
     """Merged two-pass scan over the coupling grid for one (N, q) pair."""
@@ -198,7 +238,10 @@ class ScanResult:
     omega: float
     method: str
     kappa_center: float
-    rows: list[ScanRow]
+    rows: Sequence[ScanRow]
+
+    def __post_init__(self) -> None:
+        self.rows = ScanRows(self.rows)
 
     @property
     def j(self) -> float:

@@ -1,11 +1,10 @@
-"""Brute-force symmetric eigensolvers used as ground truth in tests and checks.
+"""Symmetric eigensolvers used as ground truth in tests and checks.
 
-dense_eig runs parallel-ordered cyclic Jacobi sweeps (rotation pairs of one
-round are disjoint, so each round is applied as one vectorized update).
-tridiag_eig brackets eigenvalues with Sturm-sequence bisection and recovers
-eigenvectors by inverse iteration with cluster reorthogonalization.  Both
-favor accuracy over speed and share one sign convention so results are
-directly comparable.
+Both are thin wrappers over LAPACK through scipy.linalg: dense_eig calls
+eigh (syevr) on the dense matrix, and tridiag_eig brackets the requested
+eigenvalues by Sturm-sequence bisection (stebz) and recovers their
+eigenvectors by inverse iteration (stein).  Both reject non-finite input
+and share one sign convention, so results are directly comparable.
 """
 from __future__ import annotations
 
@@ -28,10 +27,6 @@ __all__ = [
 ]
 
 _DENSE_DIM_LIMIT = 4096
-_OFFDIAG_TARGET = 1e-14
-_BISECT_RELTOL = 1e-13
-_CLUSTER_FACTOR = 1e-8
-_SEED = 0xE16E
 
 
 @dataclass
@@ -53,99 +48,27 @@ def _sign_gauge(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule: n-1 rounds of disjoint pairs covering all pairs once."""
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        left = players[: m // 2]
-        right = players[m // 2 :][::-1]
-        ps, qs = [], []
-        for a, b in zip(left, right):
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    # summed directly, not as |A|_F^2 - trace cancellation, which would
-    # floor at |A|*sqrt(eps) and mask convergence
-    off = a - np.diag(np.diagonal(a))
-    return float(np.linalg.norm(off))
+def _check_finite(what: str, values: np.ndarray) -> None:
+    """Raise on the first non-finite entry in row-major order, naming its index."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        at = tuple(bad[0].tolist())
+        where = at[0] if len(at) == 1 else at
+        raise ContractViolationError(
+            f"{what} entry {where} is not finite ({float(values[at])})"
+        )
 
 
 def dense_eig(matrix: SparseSymmetricOperator) -> EigenDecomposition:
-    """Full decomposition by cyclic Jacobi rotations, for dimensions <= 4096."""
+    """Full decomposition by LAPACK (scipy.linalg.eigh), for dimensions <= 4096."""
     if matrix.dim > _DENSE_DIM_LIMIT:
         raise ParameterError(
             f"dense_eig is limited to dim <= {_DENSE_DIM_LIMIT}; use tridiag_eig"
         )
     a = matrix.to_dense()
-    n = matrix.dim
-    v = np.eye(n)
-    if n == 1:
-        return EigenDecomposition(a[0].copy(), v)
-    norm_f = float(np.linalg.norm(a))
-    threshold = _OFFDIAG_TARGET * norm_f
-    if norm_f > 0.0:
-        rounds = _round_robin_rounds(n)
-        for _ in range(60):
-            if _offdiag_norm(a) <= threshold:
-                break
-            for ps, qs in rounds:
-                apq = a[ps, qs]
-                act = apq != 0.0
-                if not act.any():
-                    continue
-                p = ps[act]
-                q = qs[act]
-                with np.errstate(over="ignore", divide="ignore"):
-                    # tau overflowing to inf collapses t to 0: a no-op
-                    # rotation for an already negligible pivot
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq[act])
-                    t = np.where(tau >= 0, 1.0, -1.0) / (
-                        np.abs(tau) + np.hypot(1.0, tau)
-                    )
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                ap, aq = a[:, p], a[:, q]
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap, aq = a[p, :], a[q, :]
-                a[p, :] = c[:, None] * ap - s[:, None] * aq
-                a[q, :] = s[:, None] * ap + c[:, None] * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p], v[:, q]
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        else:  # pragma: no cover - Jacobi converges quadratically
-            raise RuntimeError("Jacobi sweep limit reached before convergence")
-    w = np.diagonal(a).copy()
-    order = np.argsort(w, kind="stable")
-    return EigenDecomposition(w[order], _sign_gauge(v[:, order]))
-
-
-def _sturm_counts(
-    d: np.ndarray, e2: np.ndarray, xs: np.ndarray, pivmin: float
-) -> np.ndarray:
-    """Number of eigenvalues below each shift in xs (negative-pivot count).
-
-    Pivots are clamped away from zero before counting, so an exact hit on
-    an eigenvalue registers as negative and the count stays monotone.
-    """
-    q = d[0] - xs
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    count = (q < 0).astype(np.int64)
-    for i in range(1, d.size):
-        q = d[i] - xs - e2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0
-    return count
+    _check_finite("matrix", a)
+    w, v = sla.eigh(a)
+    return EigenDecomposition(w, _sign_gauge(v))
 
 
 def _validate_tridiag(
@@ -157,6 +80,8 @@ def _validate_tridiag(
         raise ContractViolationError("diagonal must be non-empty")
     if e.size != d.size - 1:
         raise ContractViolationError("offdiag must have length dim - 1")
+    _check_finite("diagonal", d)
+    _check_finite("offdiag", e)
     return d, e
 
 
@@ -171,125 +96,29 @@ def _resolve_indices(n: int, indices: Sequence[int] | None) -> np.ndarray:
     return ks
 
 
+def _runs(ks: np.ndarray) -> list[tuple[int, int]]:
+    """Contiguous runs (first, last) of the sorted unique indices ks."""
+    breaks = np.flatnonzero(np.diff(ks) != 1)
+    firsts = np.r_[ks[0], ks[breaks + 1]]
+    lasts = np.r_[ks[breaks], ks[-1]]
+    return list(zip(firsts.tolist(), lasts.tolist()))
+
+
 def tridiag_eigenvalues(
     diag: Sequence[float],
     offdiag: Sequence[float],
     indices: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Selected eigenvalues (ascending index order) by Sturm-sequence bisection."""
+    """Selected eigenvalues (ascending index order) by LAPACK bisection (stebz)."""
     d, e = _validate_tridiag(diag, offdiag)
-    n = d.size
-    ks = _resolve_indices(n, indices)
-    if n == 1:
-        return d[ks.clip(0, 0)].copy()
-    e2 = e * e
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    glo = float((d - radius).min())
-    ghi = float((d + radius).max())
-    span = max(ghi - glo, 1e-300)
-    glo -= 1e-13 * span
-    ghi += 1e-13 * span
-    pivmin = max(np.finfo(np.float64).tiny, e2.max(initial=0.0) * np.finfo(np.float64).tiny)
-    lo = np.full(ks.size, glo)
-    hi = np.full(ks.size, ghi)
-
-    def tols() -> np.ndarray:
-        return np.maximum(
-            _BISECT_RELTOL * np.maximum(np.abs(lo), np.abs(hi)), 1e-15 * span
-        )
-
-    if ks.size <= 8:
-        # few targets: multisection shrinks each bracket 65x per sweep
-        points = 64
-        for _ in range(40):
-            width = hi - lo
-            active = width > tols()
-            if not active.any():
-                break
-            ai = np.nonzero(active)[0]
-            frac = np.arange(1, points + 1) / (points + 1)
-            xs = lo[ai, None] + width[ai, None] * frac[None, :]
-            counts = _sturm_counts(d, e2, xs.ravel(), pivmin).reshape(ai.size, points)
-            below = counts <= ks[ai, None]
-            any_below = below.any(axis=1)
-            last_below = np.where(any_below, below.sum(axis=1) - 1, 0)
-            new_lo = np.where(any_below, xs[np.arange(ai.size), last_below], lo[ai])
-            first_above = below.sum(axis=1)
-            has_above = first_above < points
-            new_hi = np.where(
-                has_above,
-                xs[np.arange(ai.size), first_above.clip(max=points - 1)],
-                hi[ai],
-            )
-            lo[ai] = new_lo
-            hi[ai] = new_hi
-    else:
-        for _ in range(120):
-            width = hi - lo
-            active = width > tols()
-            if not active.any():
-                break
-            mid = 0.5 * (lo + hi)
-            counts = _sturm_counts(d, e2, mid[active], pivmin)
-            below = counts <= ks[active]
-            lo[active] = np.where(below, mid[active], lo[active])
-            hi[active] = np.where(below, hi[active], mid[active])
-    return 0.5 * (lo + hi)
-
-
-class _Breakdown(Exception):
-    pass
-
-
-def _inverse_iteration(
-    d: np.ndarray,
-    e: np.ndarray,
-    lam: float,
-    span: float,
-    tnorm: float,
-    rng: np.random.Generator,
-    cluster: list[np.ndarray],
-) -> np.ndarray:
-    n = d.size
-    eps = np.finfo(np.float64).eps
-    growth_goal = 1.0 / (np.sqrt(n) * eps * max(tnorm, 1e-300))
-    # retry nudges of 1e-12*span can vanish in rounding when the spectrum
-    # is one tight cluster; keep them at least a few ulps of the shift scale
-    nudge = max(1e-12 * span, 16.0 * eps * max(tnorm, abs(lam)))
-    shift = lam
-    for attempt in range(4):
-        ab = np.zeros((3, n))
-        ab[0, 1:] = e
-        ab[1, :] = d - shift
-        ab[2, :-1] = e
-        b = rng.standard_normal(n)
-        for u in cluster:
-            b -= (u @ b) * u
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            shift += nudge
-            continue
-        b /= nb
-        try:
-            for _ in range(4):
-                w = sla.solve_banded((1, 1), ab, b, check_finite=False)
-                if not np.all(np.isfinite(w)):
-                    raise _Breakdown
-                for u in cluster:
-                    w -= (u @ w) * u
-                nw = np.linalg.norm(w)
-                if nw == 0.0:
-                    raise _Breakdown
-                b = w / nw
-                if nw >= growth_goal:
-                    break
-            return b
-        except (_Breakdown, np.linalg.LinAlgError, sla.LinAlgError):
-            # singular or deflated shift: nudge it and retry (up to 3 retries)
-            shift += (attempt + 1) * nudge
-    raise RuntimeError("inverse iteration failed to produce an eigenvector")
+    ks = _resolve_indices(d.size, indices)
+    if d.size == 1:
+        return d.copy()
+    return np.concatenate([
+        sla.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                             select_range=run, check_finite=False)
+        for run in _runs(ks)
+    ])
 
 
 def tridiag_eig(
@@ -299,34 +128,20 @@ def tridiag_eig(
 ) -> EigenDecomposition:
     """Eigenpairs of a symmetric tridiagonal matrix for the requested indices.
 
-    Eigenvalues come from bisection to 1e-13 relative width; eigenvectors from
-    at most four inverse-iteration steps, reorthogonalized inside clusters of
-    eigenvalues closer than 1e-8 of the spectral span.
+    Eigenvalues come from LAPACK bisection (stebz) and eigenvectors from
+    inverse iteration with cluster reorthogonalization (stein), one LAPACK
+    call per contiguous run of indices.
     """
     d, e = _validate_tridiag(diag, offdiag)
-    n = d.size
-    ks = _resolve_indices(n, indices)
-    if n == 1:
+    ks = _resolve_indices(d.size, indices)
+    if d.size == 1:
         return EigenDecomposition(d.copy(), np.ones((1, 1)))
-    values = tridiag_eigenvalues(d, e, ks)
-    span = max(
-        float((d + np.r_[np.abs(e), 0.0] + np.r_[0.0, np.abs(e)]).max())
-        - float((d - np.r_[np.abs(e), 0.0] - np.r_[0.0, np.abs(e)]).min()),
-        1e-300,
-    )
-    tnorm = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
-    rng = np.random.default_rng(_SEED)
-    vectors = np.empty((n, ks.size))
-    cluster: list[np.ndarray] = []
-    cluster_tol = _CLUSTER_FACTOR * span
-    for col, lam in enumerate(values):
-        # a cluster only groups CONSECUTIVE requested indices; a gap in the
-        # index list breaks adjacency in the spectrum as well
-        if col > 0 and lam - values[col - 1] < cluster_tol and ks[col] == ks[col - 1] + 1:
-            cluster.append(vectors[:, col - 1])
-        else:
-            cluster = []
-        vectors[:, col] = _inverse_iteration(d, e, float(lam), span, tnorm, rng, cluster)
+    pairs = [
+        sla.eigh_tridiagonal(d, e, select="i", select_range=run, check_finite=False)
+        for run in _runs(ks)
+    ]
+    values = np.concatenate([w for w, _ in pairs])
+    vectors = np.hstack([v for _, v in pairs])
     return EigenDecomposition(values, _sign_gauge(vectors))
 
 

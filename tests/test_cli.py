@@ -266,16 +266,22 @@ class TestBenchCommand:
         assert code == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["n", "method", "wall_time", "iterations"]
+        assert rows[0] == ["n", "method", "wall_time", "iterations", "timed_out"]
         assert len(rows) == 5
+        assert all(r[4] == "0" for r in rows[1:])
         assert "log-log slope" in capsys.readouterr().out
 
     def test_timeout_exit_code(self, tmp_path):
+        out = tmp_path / "bench.csv"
         code = run(
             "bench", "--suite", "oracle_scaling", "--ns", "32",
-            "--timeout", "0", "--out", tmp_path / "bench.csv",
+            "--timeout", "0", "--out", out,
         )
         assert code == 1
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1
+        assert all(r[4] == "1" for r in rows[1:])
 
 
 class TestCoeffsimCommand:

@@ -236,13 +236,19 @@ class TestSmallCsvWriters:
         assert float(rows[1][2]) == 1e-11
 
     def test_bench_schema(self, tmp_path):
-        recs = [BenchRecord(n=100, method="collapse", wall_time=0.125, iterations=20)]
+        recs = [
+            BenchRecord(n=100, method="collapse", wall_time=0.125, iterations=20),
+            BenchRecord(
+                n=400, method="collapse", wall_time=9.5, iterations=7, timed_out=True
+            ),
+        ]
         path = tmp_path / "bench.csv"
         save_bench_csv(recs, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["n", "method", "wall_time", "iterations"]
-        assert rows[1] == ["100", "collapse", "0.125", "20"]
+        assert rows[0] == ["n", "method", "wall_time", "iterations", "timed_out"]
+        assert rows[1] == ["100", "collapse", "0.125", "20", "0"]
+        assert rows[2] == ["400", "collapse", "9.5", "7", "1"]
 
     def test_eigenvalue_schema_keeps_indices(self, tmp_path):
         path = tmp_path / "eig.csv"

@@ -129,13 +129,14 @@ class TestTargetIndex:
 
 class TestLevelCrossing:
     def test_crossing_level_hits_separatrix_energy(self):
-        # the returned coupling makes level k cross j*omega0
-        p = JCParams(100, 0.0)
+        # the returned coupling makes level k cross j*omega0 to near rounding
         q = 0.1
-        kq = critical_coupling_at_ratio(p, q)
-        diag, off = _tridiag_arrays(JCParams(100, kq))
-        lam = tridiag_eig(diag, off, indices=[10]).eigenvalues[0]
-        assert lam == pytest.approx(p.j * p.omega0, abs=1e-6 * p.j)
+        for n in (100, 800):
+            p = JCParams(n, 0.0)
+            kq = critical_coupling_at_ratio(p, q)
+            diag, off = _tridiag_arrays(JCParams(n, kq))
+            lam = tridiag_eig(diag, off, indices=[round(q * n)]).eigenvalues[0]
+            assert lam == pytest.approx(p.j * p.omega0, rel=1e-12)
 
     def test_grows_with_q(self):
         p = JCParams(60, 0.0)
@@ -204,6 +205,22 @@ class TestScan:
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError):
             scan_kappa(JCParams(20, 0.0), 0.1, method="guess")
+
+    def test_rows_behave_as_read_only_sequence(self):
+        given = [ScanRow(0.5, 0.25, 1.5, True), ScanRow(0.75, -0.125, 2.0, False)]
+        res = ScanResult(10, 0.1, 5.0, 1.0, 2.0, "oracle", 1.0, rows=given)
+        assert len(res.rows) == 2
+        assert res.rows[1] == given[1]
+        assert res.rows[-1] == given[1]
+        assert list(res.rows) == given
+        assert res.rows == given
+        assert res.rows[:1] == given[:1]
+        assert res.converged_rows() == given[:1]
+        assert isinstance(res.rows[0].converged, bool)
+        with pytest.raises(IndexError):
+            res.rows[2]
+        with pytest.raises(TypeError):
+            res.rows[0] = given[0]
 
     def test_max_row_without_convergence(self):
         res = ScanResult(10, 0.1, 5.0, 1.0, 2.0, "oracle", 1.0, rows=[])

@@ -14,7 +14,6 @@ from eigentow import (
     tridiag_eigenvalues,
 )
 from eigentow.jaynes_cummings import _tridiag_arrays
-from eigentow.oracle import _round_robin_rounds
 
 
 def chain_eigenvalues(n):
@@ -74,24 +73,6 @@ class TestDenseEig:
         dec = dense_eig(SparseSymmetricOperator.diagonal([3.5]))
         assert dec.eigenvalues[0] == 3.5
         assert dec.eigenvectors[0, 0] == 1.0
-
-
-class TestRoundRobin:
-    @pytest.mark.parametrize("n", [2, 4, 6, 10, 16])
-    def test_covers_every_pair_once(self, n):
-        seen = set()
-        rounds = _round_robin_rounds(n)
-        assert len(rounds) == n - 1
-        for ps, qs in rounds:
-            touched = set()
-            for p, q in zip(ps.tolist(), qs.tolist()):
-                key = (min(p, q), max(p, q))
-                assert key[0] != key[1]
-                assert key not in seen
-                seen.add(key)
-                assert p not in touched and q not in touched
-                touched.update((p, q))
-        assert len(seen) == n * (n - 1) // 2
 
 
 class TestTridiagEigenvalues:
@@ -195,6 +176,60 @@ class TestTridiagEig:
 
 def build_op(diag, off):
     return SparseSymmetricOperator.from_tridiagonal(diag, off)
+
+
+class TestNonFiniteInput:
+    """Non-finite entries fail fast and name the first bad entry."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_tridiag_diagonal(self, bad):
+        for solver in (tridiag_eigenvalues, tridiag_eig):
+            with pytest.raises(ContractViolationError, match=r"diagonal entry 1 "):
+                solver([1.0, bad, 3.0, bad], [0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_tridiag_offdiag(self, bad):
+        for solver in (tridiag_eigenvalues, tridiag_eig):
+            with pytest.raises(ContractViolationError, match=r"offdiag entry 2 "):
+                solver([1.0, 2.0, 3.0, 4.0], [0.5, 0.5, bad], indices=[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dense_diagonal(self, bad):
+        op = SparseSymmetricOperator.diagonal([1.0, 2.0, bad])
+        with pytest.raises(ContractViolationError, match=r"entry \(2, 2\)"):
+            dense_eig(op)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dense_offdiagonal(self, bad):
+        op = SparseSymmetricOperator(
+            dim=3,
+            rows=np.array([0, 0, 1, 2]),
+            cols=np.array([0, 2, 1, 2]),
+            vals=np.array([1.0, bad, 2.0, 3.0]),
+        )
+        with pytest.raises(ContractViolationError, match=r"entry \(0, 2\)"):
+            dense_eig(op)
+
+
+class TestIndexRuns:
+    def test_scattered_indices_match_full(self, rng):
+        # one LAPACK call per contiguous run; the pieces must line up
+        d, e = random_tridiag(rng, 60)
+        full = tridiag_eig(d, e)
+        ks = [0, 1, 2, 17, 30, 31, 59]
+        some = tridiag_eig(d, e, indices=[31, 0, 59, 2, 17, 1, 30, 2])
+        np.testing.assert_allclose(some.eigenvalues, full.eigenvalues[ks], atol=1e-12)
+        for col, k in enumerate(ks):
+            assert compare_eigvec(some.vector(col), full.vector(k)) < 1e-10
+        np.testing.assert_allclose(
+            tridiag_eigenvalues(d, e, indices=ks), full.eigenvalues[ks], atol=1e-12
+        )
+
+    def test_single_entry(self):
+        assert tridiag_eigenvalues([2.5], []).tolist() == [2.5]
+        dec = tridiag_eig([2.5], [], indices=[0])
+        assert dec.eigenvalues.tolist() == [2.5]
+        assert dec.eigenvectors.tolist() == [[1.0]]
 
 
 class TestCompareEigvec:
