@@ -42,6 +42,7 @@ class BenchRecord:
     wall_time: float
     iterations: int
     timed_out: bool = False
+    converged: bool = True  # fixed-budget timings have no convergence test
 
 
 def _problem(n: int) -> tuple[JCParams, int]:
@@ -78,7 +79,11 @@ def collapse_per_iteration(
 
 
 def tow_end_to_end(n: int, steps: int = 3, max_iter: int = 20000) -> BenchRecord:
-    """Wall time of a whole ladder from zero coupling to 0.1 (reported, not asserted)."""
+    """Wall time of a whole ladder from zero coupling to 0.1 (reported, not asserted).
+
+    The record's `converged` is the tow's own verdict; a ladder that stops
+    on a failed rung is still timed and kept, flagged converged=False.
+    """
     p, k = _problem(n)
     base = OperatorSet([build_hamiltonian(replace(p, kappa=0.0))])
     target = OperatorSet([build_hamiltonian(p)])
@@ -88,7 +93,10 @@ def tow_end_to_end(n: int, steps: int = 3, max_iter: int = 20000) -> BenchRecord
     result = tow(plan, k, cfg)
     wall = time.perf_counter() - t0
     iters = sum(r.iterations for r in result.per_step_reports)
-    return BenchRecord(n=n, method="tow", wall_time=wall, iterations=max(iters, 1))
+    return BenchRecord(
+        n=n, method="tow", wall_time=wall, iterations=max(iters, 1),
+        converged=result.converged,
+    )
 
 
 def oracle_all_timing(n: int) -> BenchRecord:

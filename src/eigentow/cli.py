@@ -229,6 +229,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             continue
         kind = "per-iteration" if per_iter else "end-to-end"
         print(f"bench: {method} {kind} log-log slope = {slope:.3f}")
+    for r in records:
+        if not r.converged:
+            print(
+                f"bench: {r.method} n={r.n} did not converge "
+                f"({r.iterations} iterations, {r.wall_time:.3g} s)",
+                file=sys.stderr,
+            )
     if any(r.timed_out for r in records):
         print("bench: some cells exceeded the timeout and were flagged", file=sys.stderr)
         return 1

@@ -5,9 +5,23 @@ Each step solves the trapezoidal system
     (I - (dt/2) B(m_lhs)) v' = (I + (dt/2) B(m)) v,
 
 where B is the negative-semidefinite collapse generator, so the left-hand
-matrix is symmetric positive definite for every dt > 0.  The zeroth-order
-mode freezes the moments over the step (m_lhs = m); the first-order mode
-advances them by their leading-order drift before forming the implicit side.
+matrix A = I + (dt/2) sum_j [(O_j - e1_j)^2 + var_j] is symmetric positive
+definite for every dt > 0.  The zeroth-order mode freezes the moments over
+the step (m_lhs = m); the first-order mode advances e1 and e2 by their
+leading-order drift, and var = max(e2 - e1^2, 0), before forming the
+implicit side.
+
+For one operator H the matrix factors over the complex numbers:
+
+    A = (dt/2) [(H - e1)^2 + s^2] = (dt/2) (H - e1 - i s)(H - e1 + i s),
+
+with s^2 = var + 2/dt, so A^-1 r = (2 / (dt s)) Im[(H - e1 - i s)^-1 r] for
+real r.  One complex solve with H's bandwidth b (LAPACK zgtsv for b = 1,
+zgbsv otherwise; a complex sparse LU above _SHIFTED_BAND_LIMIT) replaces a
+real solve with bandwidth 2b, and H^2 is never formed.  Sets of two or more
+operators do not factor this way; they assemble A from the cached squares
+and solve it with banded Cholesky (solveh_banded), or with a real sparse LU
+once the squares are wider than _BAND_LIMIT.
 """
 from __future__ import annotations
 
@@ -25,8 +39,13 @@ from .operators import Moments, OperatorSet, StateVector
 
 __all__ = ["CollapseConfig", "ConvergenceReport", "cn_step", "collapse"]
 
-# widest band handled by the dedicated banded Cholesky path
-_BAND_LIMIT = 8
+# Widest bands sent to LAPACK's banded solvers rather than a sparse LU.  On
+# full bands the banded solve is faster at every width measured (up to 128);
+# on a tridiagonal band plus one far diagonal the sparse LU overtakes it near
+# these widths at dim 4000 (complex shifted between 64 and 96; SPD between
+# 128 and 192) and later at dim 64000.
+_SHIFTED_BAND_LIMIT = 64  # bandwidth of H, one-operator complex path
+_BAND_LIMIT = 128  # bandwidth of the summed squares, multi-operator SPD path
 # residual-plateau window for the degenerate-subspace warning
 _STAGNATION_WINDOW = 1000
 _STAGNATION_RATIO = 0.999
@@ -112,12 +131,35 @@ def _advanced_moments(ev: _Evaluation, dt: float) -> Moments:
     return Moments(e1=e1, e2=e2, var=np.maximum(e2 - e1 * e1, 0.0))
 
 
+def _general_band(upper: np.ndarray) -> np.ndarray:
+    """Complex (b, b) general band form ab[b + i - j, j] from upper banded storage."""
+    b, dim = upper.shape[0] - 1, upper.shape[1]
+    ab = np.zeros((2 * b + 1, dim), dtype=np.complex128)
+    ab[: b + 1] = upper
+    for k in range(1, b + 1):
+        ab[b + k, : dim - k] = upper[b - k, k:]
+    return ab
+
+
 class _Stepper:
     """Per-run solver with precomputed structure for the implicit system."""
 
     def __init__(self, opset: OperatorSet, dt: float):
         self.opset = opset
         self.dt = dt
+        self.single = len(opset) == 1
+        if self.single:
+            op = opset.ops[0]
+            self.band = op.bandwidth
+            self.banded = self.band <= _SHIFTED_BAND_LIMIT
+            if self.banded:
+                # off-diagonals stay fixed; each step rewrites the diagonal row
+                self.ab = _general_band(op.upper_banded())
+                self.diag = self.ab[self.band].real.copy()
+            else:
+                self.h = op.csr.astype(np.complex128).tocsc()
+                self.identity = sp.identity(opset.dim, dtype=np.complex128, format="csc")
+            return
         squares = opset.squares
         self.band = max(
             max(op.bandwidth for op in opset.ops),
@@ -129,29 +171,53 @@ class _Stepper:
             self.s2_band = sum(sq.upper_banded(u) for sq in squares)
             self.o_bands = np.stack([op.upper_banded(u) for op in opset.ops])
         else:
-            dim = opset.dim
-            self.identity = sp.identity(dim, format="csr")
+            self.identity = sp.identity(opset.dim, format="csr")
             self.s2_sum = sum(sq.csr for sq in squares)
 
-    def solve(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
+    def _solve_shifted(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
+        # A = (dt/2)[(H - e1)^2 + sigma^2] = (dt/2)(H - e1 - i sigma)(H - e1 + i sigma)
+        sigma = float(np.sqrt(m.var[0] + 2.0 / self.dt))
+        z = complex(m.e1[0], sigma)
+        b = rhs.astype(np.complex128)
+        if self.banded:
+            self.ab[self.band] = self.diag - z
+            y = sla.solve_banded(
+                (self.band, self.band), self.ab, b, overwrite_b=True, check_finite=False
+            )
+        else:
+            y = spla.splu((self.h - z * self.identity).tocsc()).solve(b)
+        return (2.0 / (self.dt * sigma)) * y.imag
+
+    def _solve_spd(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
         dt = self.dt
         shift = 1.0 + 0.5 * dt * float((m.e1 * m.e1 + m.var).sum())
+        if self.banded:
+            ab = 0.5 * dt * self.s2_band - dt * np.tensordot(
+                m.e1, self.o_bands, axes=(0, 0)
+            )
+            ab[self.band] += shift
+            return sla.solveh_banded(ab, rhs, lower=False, check_finite=False)
+        acc = shift * self.identity + 0.5 * dt * self.s2_sum
+        for j, op in enumerate(self.opset):
+            acc = acc - dt * m.e1[j] * op.csr
+        return spla.splu(acc.tocsc()).solve(rhs)
+
+    def solve(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
         try:
-            if self.banded:
-                ab = 0.5 * dt * self.s2_band - dt * np.tensordot(
-                    m.e1, self.o_bands, axes=(0, 0)
-                )
-                ab[self.band] += shift
-                return sla.solveh_banded(ab, rhs, lower=False, check_finite=False)
-            acc = shift * self.identity + 0.5 * dt * self.s2_sum
-            for j, op in enumerate(self.opset):
-                acc = acc - dt * m.e1[j] * op.csr
-            return spla.splu(acc.tocsc()).solve(rhs)
-        except Exception as exc:  # pragma: no cover - SPD by construction
+            if self.single:
+                return self._solve_shifted(m, rhs)
+            return self._solve_spd(m, rhs)
+        except Exception as exc:  # pragma: no cover - nonsingular by construction
+            kind = "complex shifted" if self.single else "SPD"
             raise RuntimeError(
-                f"implicit solve failed on a matrix that must be SPD "
-                f"(dim={self.opset.dim}, band={self.band}, dt={dt}): {exc}"
+                f"implicit solve failed on a {kind} matrix that must be nonsingular "
+                f"(dim={self.opset.dim}, band={self.band}, dt={self.dt}): {exc}"
             ) from exc
+
+
+def _stop_if_non_finite(what: str, value: float, iteration: int) -> None:
+    if not np.isfinite(value):
+        raise DegenerateStateError(f"non-finite {what} ({value}) at iteration {iteration}")
 
 
 def _take_step(
@@ -186,6 +252,8 @@ def collapse(
 
     Returns the final state and a report; report.converged is False when
     max_iter is exhausted first.  The caller decides how to proceed then.
+    A non-finite residual or step norm (overflowing moments) raises
+    DegenerateStateError naming the iteration.
     """
     cfg = cfg or CollapseConfig()
     t0 = time.perf_counter()
@@ -197,6 +265,7 @@ def collapse(
         x = x / np.sqrt(n0)
     stepper = _Stepper(opset, cfg.dt)
     ev = _evaluate(opset, x)
+    _stop_if_non_finite("residual", ev.residual, 0)
     residual_trace = [ev.residual]
     norm_trace = [ev.norm2]
     moments_trace = [ev.m]
@@ -206,7 +275,9 @@ def collapse(
     stagnation_reported = False
     for i in range(1, cfg.max_iter + 1):
         x, n_new = _take_step(stepper, x, ev, cfg)
+        _stop_if_non_finite("step norm^2", n_new, i)
         ev = _evaluate(opset, x)
+        _stop_if_non_finite("residual", ev.residual, i)
         residual_trace.append(ev.residual)
         norm_trace.append(n_new)
         moments_trace.append(ev.m)

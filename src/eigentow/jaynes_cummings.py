@@ -48,6 +48,7 @@ _GRID_POINTS = 61
 _REFINE_SPAN = 2  # coarse steps on each side of the argmax
 _WINDOW = (0.8, 1.2)  # auto grid around the level-crossing coupling
 _CROSSING_RTOL = 4.0 * np.finfo(np.float64).eps  # the finest brentq accepts
+_MERGE_RTOL = 4.0 * np.finfo(np.float64).eps  # a fine point this close repeats a coarse one
 
 
 @dataclass(frozen=True)
@@ -348,7 +349,8 @@ def scan_kappa(
 
     Pass one covers the coarse grid; pass two re-scans an equal-size grid
     over +-2 coarse steps around the converged argmax.  Rows of both passes
-    are merged in ascending kappa order; non-converged rows stay flagged.
+    are merged in ascending kappa order, dropping fine rows within a few ulp
+    of a coarse one; non-converged rows stay flagged.
     """
     k = _target_index(base, q)
     if kappas is None:
@@ -375,8 +377,10 @@ def scan_kappa(
         if hi > lo:
             fine_grid = np.linspace(lo, hi, grid.size)
             fine = _scan_pass(base, k, fine_grid, method, cfg)
-            seen = {r.kappa for r in rows}
-            rows.extend(r for r in fine if r.kappa not in seen)
+            fine_k = np.array([r.kappa for r in fine])
+            gap = np.abs(fine_k[:, None] - grid[None, :]).min(axis=1)
+            repeats = gap <= _MERGE_RTOL * np.abs(fine_k)
+            rows.extend(r for r, rep in zip(fine, repeats) if not rep)
             rows.sort(key=lambda r: r.kappa)
     return ScanResult(
         n_molecules=base.n_molecules,

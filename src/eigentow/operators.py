@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+def _check_finite(what: str, values: np.ndarray) -> None:
+    """Raise on the first non-finite entry of a 1-D array, naming its index."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ContractViolationError(f"{what} entry {i} is not finite ({values[i]})")
+
+
 @dataclass
 class SparseSymmetricOperator:
     """Real symmetric matrix stored as its upper triangle in triplet form.
@@ -56,6 +64,13 @@ class SparseSymmetricOperator:
         self.vals = np.asarray(self.vals, dtype=np.float64).ravel()
         if not (self.rows.shape == self.cols.shape == self.vals.shape):
             raise ContractViolationError("rows, cols, vals must have equal length")
+        bad = np.flatnonzero(~np.isfinite(self.vals))
+        if bad.size:
+            i = int(bad[0])
+            raise ContractViolationError(
+                f"non-finite value {self.vals[i]} at entry {i} "
+                f"(row {self.rows[i]}, col {self.cols[i]})"
+            )
         if self.rows.size:
             if self.rows.min() < 0 or self.cols.max() >= self.dim:
                 raise ContractViolationError("entry index out of range")
@@ -188,6 +203,7 @@ class StateVector:
         self.amps = np.asarray(self.amps, dtype=np.float64).ravel()
         if self.amps.size == 0:
             raise ContractViolationError("state vector must be non-empty")
+        _check_finite("amplitude", self.amps)
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "StateVector":
@@ -308,11 +324,12 @@ def assemble_solve_matrix(
     """
     if dt <= 0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    dim = opset.dim
-    shift = 1.0 + 0.5 * dt * float((m.e1 * m.e1 + m.var).sum())
-    acc = sp.identity(dim, format="csr") * shift
+    eye = sp.identity(opset.dim, format="csr")
+    acc = eye * (1.0 + 0.5 * dt * float(m.var.sum()))
     for j, op in enumerate(opset):
-        acc = acc + 0.5 * dt * opset.squares[j].csr - dt * m.e1[j] * op.csr
+        # square the shifted operator, so no e1^2-sized terms cancel
+        centred = op.csr - m.e1[j] * eye
+        acc = acc + 0.5 * dt * (centred @ centred)
     return operator_from_csr(acc)
 
 

@@ -4,7 +4,8 @@ Both are thin wrappers over LAPACK through scipy.linalg: dense_eig calls
 eigh (syevr) on the dense matrix, and tridiag_eig brackets the requested
 eigenvalues by Sturm-sequence bisection (stebz) and recovers their
 eigenvectors by inverse iteration (stein).  Both reject non-finite input
-and share one sign convention, so results are directly comparable.
+(dense_eig through its operator, which cannot hold one) and share one sign
+convention, so results are directly comparable.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ContractViolationError, ParameterError
-from .operators import SparseSymmetricOperator, StateVector
+from .operators import SparseSymmetricOperator, StateVector, _check_finite
 
 __all__ = [
     "EigenDecomposition",
@@ -48,26 +49,13 @@ def _sign_gauge(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _check_finite(what: str, values: np.ndarray) -> None:
-    """Raise on the first non-finite entry in row-major order, naming its index."""
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        at = tuple(bad[0].tolist())
-        where = at[0] if len(at) == 1 else at
-        raise ContractViolationError(
-            f"{what} entry {where} is not finite ({float(values[at])})"
-        )
-
-
 def dense_eig(matrix: SparseSymmetricOperator) -> EigenDecomposition:
     """Full decomposition by LAPACK (scipy.linalg.eigh), for dimensions <= 4096."""
     if matrix.dim > _DENSE_DIM_LIMIT:
         raise ParameterError(
             f"dense_eig is limited to dim <= {_DENSE_DIM_LIMIT}; use tridiag_eig"
         )
-    a = matrix.to_dense()
-    _check_finite("matrix", a)
-    w, v = sla.eigh(a)
+    w, v = sla.eigh(matrix.to_dense())
     return EigenDecomposition(w, _sign_gauge(v))
 
 

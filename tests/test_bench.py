@@ -35,12 +35,21 @@ class TestSingleTimers:
         assert rec.iterations == 20
         assert rec.wall_time > 0
         assert not rec.timed_out
+        assert rec.converged
 
     def test_tow_record(self):
         rec = tow_end_to_end(50)
         assert rec.method == "tow"
         assert rec.wall_time > 0
         assert rec.iterations > 0
+        assert rec.converged
+
+    def test_tow_record_keeps_failed_ladder(self):
+        # a one-iteration budget fails the first rung; the cell stays, flagged
+        rec = tow_end_to_end(50, max_iter=1)
+        assert not rec.converged
+        assert rec.iterations == 1
+        assert rec.wall_time > 0
 
     def test_oracle_records(self):
         rec_all = oracle_all_timing(64)

@@ -266,10 +266,28 @@ class TestBenchCommand:
         assert code == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["n", "method", "wall_time", "iterations", "timed_out"]
+        assert rows[0] == [
+            "n", "method", "wall_time", "iterations", "timed_out", "converged",
+        ]
         assert len(rows) == 5
-        assert all(r[4] == "0" for r in rows[1:])
+        assert all(r[4] == "0" and r[5] == "1" for r in rows[1:])
         assert "log-log slope" in capsys.readouterr().out
+
+    def test_non_converged_cells_flagged(self, tmp_path, capsys, monkeypatch):
+        import eigentow.cli as cli
+        from eigentow.bench import tow_end_to_end
+
+        # a one-iteration budget makes the ladder's first rung fail
+        monkeypatch.setattr(
+            cli, "bench", lambda suite, ns, timeout: [tow_end_to_end(n, max_iter=1) for n in ns]
+        )
+        out = tmp_path / "bench.csv"
+        code = run("bench", "--suite", "collapse_scaling", "--ns", "20", "--out", out)
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][1] == "tow" and rows[1][5] == "0"
+        assert "tow n=20 did not converge" in capsys.readouterr().err
 
     def test_timeout_exit_code(self, tmp_path):
         out = tmp_path / "bench.csv"

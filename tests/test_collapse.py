@@ -5,15 +5,23 @@ from hypothesis import strategies as st
 
 from eigentow import (
     CollapseConfig,
+    ContractViolationError,
+    DegenerateStateError,
+    JCParams,
+    Moments,
     OperatorSet,
     ParameterError,
     SparseSymmetricOperator,
     StateVector,
+    apply_B,
+    build_hamiltonian,
     cn_step,
     collapse,
     exchange_operator,
     moments,
 )
+from eigentow.collapse import _SHIFTED_BAND_LIMIT, _Stepper
+from eigentow.operators import assemble_solve_matrix
 
 
 def diag_set(values):
@@ -84,6 +92,99 @@ class TestCnStep:
         out = cn_step(opset, v)
         out_n = out.amps / np.linalg.norm(out.amps)
         np.testing.assert_allclose(out_n, v.amps, atol=1e-14)
+
+
+def _ladder(dim, bandwidth, rng):
+    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [np.arange(dim, dtype=float)]
+    for k in range(1, bandwidth + 1):
+        rows.append(np.arange(dim - k))
+        cols.append(np.arange(k, dim))
+        vals.append(0.1 * rng.standard_normal(dim - k))
+    return SparseSymmetricOperator(
+        dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    )
+
+
+def _exchange_conjugated(n, rng):
+    # a tridiagonal operator carried into the exchange-permuted basis, where
+    # its bandwidth n(n - 1) - 1 (89 for n = 10) lies above the banded limit
+    t = SparseSymmetricOperator.from_tridiagonal(
+        rng.standard_normal(n * n), rng.standard_normal(n * n - 1)
+    ).to_dense()
+    p = exchange_operator(n).to_dense()
+    return SparseSymmetricOperator.from_dense(p @ t @ p.T)
+
+
+_REFERENCE_CASES = {
+    "diagonal": lambda rng: SparseSymmetricOperator.diagonal(rng.uniform(-3, 3, 40)),
+    "jc_chain": lambda rng: build_hamiltonian(JCParams(60, kappa=0.1)),
+    "band5_ladder": lambda rng: _ladder(80, 5, rng),
+    "exchange_conjugated": lambda rng: _exchange_conjugated(10, rng),
+    "shifted_1e4": lambda rng: SparseSymmetricOperator.from_tridiagonal(
+        1e4 + np.arange(50.0), 0.3 * rng.standard_normal(49)
+    ),
+}
+
+
+class TestSingleOperatorSolve:
+    """cn_step on one operator against a dense solve of the SPD system."""
+
+    @pytest.mark.parametrize("order", ["zeroth", "first"])
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_matches_dense_reference(self, case, order, rng):
+        op = _REFERENCE_CASES[case](rng)
+        if case == "exchange_conjugated":
+            assert op.bandwidth > _SHIFTED_BAND_LIMIT
+        opset = OperatorSet([op])
+        x = rng.standard_normal(op.dim)
+        x /= np.linalg.norm(x)
+        v = StateVector(x)
+        # at the larger steps the first-order drift overshoots and clamps the
+        # advanced variance to 0; dt = 0.001 keeps it positive
+        for dt in (1.1, 0.1, 0.001):
+            m = moments(opset, v)
+            bx = apply_B(opset, v, m).amps
+            m_lhs = m
+            if order == "first":
+                ox = op.matvec(x)
+                o2x = op.matvec(ox)
+                e1 = m.e1 + 2.0 * dt * np.array([ox @ bx]) / v.norm2
+                e2 = m.e2 + 2.0 * dt * np.array([o2x @ bx]) / v.norm2
+                m_lhs = Moments(e1=e1, e2=e2, var=np.maximum(e2 - e1 * e1, 0.0))
+            a = assemble_solve_matrix(opset, m_lhs, dt).to_dense()
+            expect = np.linalg.solve(a, x + 0.5 * dt * bx)
+            cfg = CollapseConfig(dt=dt, expectation_order=order, renormalize_every_step=False)
+            got = cn_step(opset, v, cfg).amps
+            err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
+            assert err <= 1e-12, f"dt={dt}: relative error {err:.2e}"
+
+
+class TestNonFinite:
+    def test_operator_rejects_nan_on_diagonal(self):
+        diag = np.arange(50.0)
+        diag[17] = np.nan
+        with pytest.raises(ContractViolationError, match="row 17, col 17"):
+            SparseSymmetricOperator.from_tridiagonal(diag, np.full(49, 0.1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_operator_rejects_non_finite_values(self, bad):
+        with pytest.raises(ContractViolationError, match="row 1, col 2"):
+            SparseSymmetricOperator(3, [0, 1, 2], [0, 2, 2], [1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_state_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ContractViolationError, match="amplitude entry 3 "):
+            StateVector(np.array([0.5, 0.5, 0.5, bad, np.nan]))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_moments_stop_at_once(self):
+        # every entry is finite, but |O v|^2 overflows: the run must stop
+        # before its first step instead of spending max_iter on NaNs
+        opset = diag_set([0.0, 1e160])
+        v = StateVector(np.array([0.6, 0.8]))
+        with pytest.raises(DegenerateStateError, match="at iteration 0"):
+            collapse(opset, v, CollapseConfig(max_iter=2000))
 
 
 class TestCollapse:
@@ -201,26 +302,30 @@ class TestCollapse:
         assert "plateau" in report.warnings[0]
 
     def test_banded_and_general_paths_agree(self):
-        # the exchange operator on a 6x6 product space has wide bandwidth,
-        # forcing the general sparse path; conjugating a tridiagonal problem
-        # into that basis must not change the physics
-        n = 6
-        diag = np.arange(float(n * n))
-        op = SparseSymmetricOperator.diagonal(diag)
-        opset = OperatorSet([op])
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(n * n)
-        v = StateVector(x)
-        f1, r1 = collapse(opset, v, CollapseConfig(max_iter=400))
-
+        # permuting the basis by the exchange operator on a 14x14 product
+        # space carries a tridiagonal operator to bandwidth 181, forcing the
+        # general sparse path; the physics must not change.  One operator
+        # takes the complex shifted solve, the commuting pair (T, T^2) the
+        # SPD one.  A diagonal operator would stay diagonal under the
+        # permutation and never leave the banded path.
+        n = 14
+        t = SparseSymmetricOperator.from_tridiagonal(
+            np.arange(float(n * n)), 0.1 * np.ones(n * n - 1)
+        )
         p = exchange_operator(n).to_dense()
-        a2 = p @ np.diag(diag) @ p.T
-        opset2 = OperatorSet([SparseSymmetricOperator.from_dense(a2)])
-        v2 = StateVector(p @ x)
-        f2, r2 = collapse(opset2, v2, CollapseConfig(max_iter=400))
+        x = np.random.default_rng(7).standard_normal(n * n)
+        for ops in ([t], [t, t.square()]):
+            opset = OperatorSet(ops)
+            f1, r1 = collapse(opset, StateVector(x), CollapseConfig(max_iter=400))
 
-        assert r1.converged == r2.converged
-        np.testing.assert_allclose(p @ f1.amps, f2.amps, atol=1e-8)
+            opset2 = OperatorSet(
+                [SparseSymmetricOperator.from_dense(p @ op.to_dense() @ p.T) for op in ops]
+            )
+            assert _Stepper(opset, 1.1).banded and not _Stepper(opset2, 1.1).banded
+            f2, r2 = collapse(opset2, StateVector(p @ x), CollapseConfig(max_iter=400))
+
+            assert r1.converged == r2.converged
+            np.testing.assert_allclose(p @ f1.amps, f2.amps, atol=1e-8)
 
     def test_shift_invariance_full_trajectory(self, rng):
         # adding beta*I to the operator leaves every iterate unchanged

@@ -241,14 +241,20 @@ class TestSmallCsvWriters:
             BenchRecord(
                 n=400, method="collapse", wall_time=9.5, iterations=7, timed_out=True
             ),
+            BenchRecord(
+                n=800, method="tow", wall_time=3.0, iterations=60, converged=False
+            ),
         ]
         path = tmp_path / "bench.csv"
         save_bench_csv(recs, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["n", "method", "wall_time", "iterations", "timed_out"]
-        assert rows[1] == ["100", "collapse", "0.125", "20", "0"]
-        assert rows[2] == ["400", "collapse", "9.5", "7", "1"]
+        assert rows[0] == [
+            "n", "method", "wall_time", "iterations", "timed_out", "converged",
+        ]
+        assert rows[1] == ["100", "collapse", "0.125", "20", "0", "1"]
+        assert rows[2] == ["400", "collapse", "9.5", "7", "1", "1"]
+        assert rows[3] == ["800", "tow", "3.0", "60", "0", "0"]
 
     def test_eigenvalue_schema_keeps_indices(self, tmp_path):
         path = tmp_path / "eig.csv"

@@ -188,6 +188,14 @@ class TestScan:
         assert res.method == "oracle"
         assert res.n_molecules == 60
 
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_merged_rows_are_distinct_couplings(self, n):
+        # the fine grid's ends land within an ulp of coarse points here;
+        # such near-repeats must not come back as second rows
+        kappas = np.array([r.kappa for r in scan_kappa(JCParams(n, 0.0), 0.1).rows])
+        gaps = np.diff(kappas) / kappas[1:]
+        assert gaps.min() > 1e-12
+
     def test_center_matches_crossing(self):
         p = JCParams(60, 0.0)
         res = scan_kappa(p, 0.1, points=7)
