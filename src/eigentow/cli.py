@@ -121,7 +121,7 @@ def _cmd_tow(args: argparse.Namespace) -> int:
         for step, rep in enumerate(res.per_step_reports):
             save_trace_csv(rep, out / f"trace_{tag}_step{step}.csv")
         residual = float(res.per_step_reports[-1].residual_trace[-1])
-        rayleigh = rayleigh_residual(target.ops[0], res.final_state)[0]
+        rayleigh = max(rayleigh_residual(op, res.final_state)[1] for op in target)
         overlap_min = min(res.per_step_overlaps) if res.per_step_overlaps else 1.0
         rows.append((res.target_id, res.refined_steps, residual, rayleigh, overlap_min))
         ok = ok and res.converged

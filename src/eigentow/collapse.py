@@ -19,15 +19,19 @@ with s^2 = var + 2/dt, so A^-1 r = (2 / (dt s)) Im[(H - e1 - i s)^-1 r] for
 real r.  One complex solve with H's bandwidth b (LAPACK zgtsv for b = 1,
 zgbsv otherwise; a complex sparse LU above _SHIFTED_BAND_LIMIT) replaces a
 real solve with bandwidth 2b, and H^2 is never formed.  Sets of two or more
-operators do not factor this way; they assemble A from the cached squares
-and solve it with banded Cholesky (solveh_banded), or with a real sparse LU
-once the squares are wider than _BAND_LIMIT.
+operators do not factor this way.  They square O_j - c_j once per run, c_j
+the e1_j of the first state, so that with d_j = e1_j - c_j each step's
+
+    A = I + (dt/2) sum_j [(O_j - c_j)^2 - 2 d_j (O_j - c_j) + d_j^2 + var_j]
+
+cancels no terms of size e1^2; it is solved with banded Cholesky
+(solveh_banded), or a real sparse LU once the squares pass _BAND_LIMIT.
+The moments and B v come from operators._generator; this module only steps.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,7 +39,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DegenerateStateError, ParameterError
-from .operators import Moments, OperatorSet, StateVector
+from .operators import Moments, OperatorSet, StateVector, operator_from_csr
+from .operators import _generator, _Generator
 
 __all__ = ["CollapseConfig", "ConvergenceReport", "cn_step", "collapse"]
 
@@ -80,52 +85,22 @@ class ConvergenceReport:
     Index 0 of every trace describes the initial state; index i the state
     after step i.  norm_trace holds squared norms before renormalization,
     so the per-step contraction stays visible in the renormalizing mode.
+    moments_trace holds (iterations + 1, n_ops) arrays.
     """
 
     iterations: int
     residual_trace: np.ndarray
     norm_trace: np.ndarray
-    moments_trace: list[Moments]
+    moments_trace: Moments
     converged: bool
     wall_time: float
     warnings: list[str] = field(default_factory=list)
 
 
-class _Evaluation(NamedTuple):
-    norm2: float
-    m: Moments
-    bv: np.ndarray
-    ov: list[np.ndarray]
-    o2v: list[np.ndarray]
-    residual: float
-
-
-def _evaluate(opset: OperatorSet, x: np.ndarray) -> _Evaluation:
-    n = float(x @ x)
-    if n == 0.0:
-        raise DegenerateStateError("collapse state has zero norm")
-    ov = []
-    o2v = []
-    e1 = np.empty(len(opset))
-    e2 = np.empty(len(opset))
-    for j, op in enumerate(opset):
-        oj = op.matvec(x)
-        ov.append(oj)
-        o2v.append(op.matvec(oj))
-        e1[j] = (x @ oj) / n
-        e2[j] = (oj @ oj) / n
-    var = np.maximum(e2 - e1 * e1, 0.0)
-    bv = -float(e2.sum()) * x
-    for j in range(len(opset)):
-        bv += 2.0 * e1[j] * ov[j] - o2v[j]
-    residual = float(np.linalg.norm(bv)) / np.sqrt(n)
-    return _Evaluation(n, Moments(e1=e1, e2=e2, var=var), bv, ov, o2v, residual)
-
-
-def _advanced_moments(ev: _Evaluation, dt: float) -> Moments:
+def _advanced_moments(ev: _Generator, dt: float) -> Moments:
     """First-order drift of the moments along the collapse flow."""
-    drift1 = 2.0 * dt * np.array([o @ ev.bv for o in ev.ov]) / ev.norm2
-    drift2 = 2.0 * dt * np.array([o @ ev.bv for o in ev.o2v]) / ev.norm2
+    drift1 = 2.0 * dt * np.array([o @ ev.bx for o in ev.ox]) / ev.norm2
+    drift2 = 2.0 * dt * np.array([o @ ev.bx for o in ev.o2x]) / ev.norm2
     e1 = ev.m.e1 + drift1
     e2 = ev.m.e2 + drift2
     return Moments(e1=e1, e2=e2, var=np.maximum(e2 - e1 * e1, 0.0))
@@ -142,9 +117,12 @@ def _general_band(upper: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """Per-run solver with precomputed structure for the implicit system."""
+    """Per-run solver with precomputed structure for the implicit system.
 
-    def __init__(self, opset: OperatorSet, dt: float):
+    centre holds the first state's e1; a multi-operator set squares O_j - centre_j.
+    """
+
+    def __init__(self, opset: OperatorSet, dt: float, centre: np.ndarray):
         self.opset = opset
         self.dt = dt
         self.single = len(opset) == 1
@@ -160,19 +138,19 @@ class _Stepper:
                 self.h = op.csr.astype(np.complex128).tocsc()
                 self.identity = sp.identity(opset.dim, dtype=np.complex128, format="csc")
             return
-        squares = opset.squares
-        self.band = max(
-            max(op.bandwidth for op in opset.ops),
-            max(sq.bandwidth for sq in squares),
-        )
+        self.centre = centre
+        self.identity = sp.identity(opset.dim, format="csr")
+        centred = [operator_from_csr(op.csr - c * self.identity) for op, c in zip(opset, centre)]
+        squares = [op.square() for op in centred]
+        self.band = max(op.bandwidth for op in centred + squares)
         self.banded = self.band <= _BAND_LIMIT
         if self.banded:
             u = self.band
             self.s2_band = sum(sq.upper_banded(u) for sq in squares)
-            self.o_bands = np.stack([op.upper_banded(u) for op in opset.ops])
+            self.o_bands = np.stack([op.upper_banded(u) for op in centred])
         else:
-            self.identity = sp.identity(opset.dim, format="csr")
             self.s2_sum = sum(sq.csr for sq in squares)
+            self.centred = [op.csr for op in centred]
 
     def _solve_shifted(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
         # A = (dt/2)[(H - e1)^2 + sigma^2] = (dt/2)(H - e1 - i sigma)(H - e1 + i sigma)
@@ -190,16 +168,16 @@ class _Stepper:
 
     def _solve_spd(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
         dt = self.dt
-        shift = 1.0 + 0.5 * dt * float((m.e1 * m.e1 + m.var).sum())
+        # (O - e1)^2 = (O - c)^2 - 2 d (O - c) + d^2 with d = e1 - c
+        d = m.e1 - self.centre
+        shift = 1.0 + 0.5 * dt * float((d * d + m.var).sum())
         if self.banded:
-            ab = 0.5 * dt * self.s2_band - dt * np.tensordot(
-                m.e1, self.o_bands, axes=(0, 0)
-            )
+            ab = 0.5 * dt * self.s2_band - dt * np.tensordot(d, self.o_bands, axes=(0, 0))
             ab[self.band] += shift
             return sla.solveh_banded(ab, rhs, lower=False, check_finite=False)
         acc = shift * self.identity + 0.5 * dt * self.s2_sum
-        for j, op in enumerate(self.opset):
-            acc = acc - dt * m.e1[j] * op.csr
+        for dj, op in zip(d, self.centred):
+            acc = acc - dt * dj * op
         return spla.splu(acc.tocsc()).solve(rhs)
 
     def solve(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
@@ -221,10 +199,10 @@ def _stop_if_non_finite(what: str, value: float, iteration: int) -> None:
 
 
 def _take_step(
-    stepper: _Stepper, x: np.ndarray, ev: _Evaluation, cfg: CollapseConfig
+    stepper: _Stepper, x: np.ndarray, ev: _Generator, cfg: CollapseConfig
 ) -> tuple[np.ndarray, float]:
     """One trapezoidal step; returns the new state and its pre-renormalization norm^2."""
-    rhs = x + 0.5 * cfg.dt * ev.bv
+    rhs = x + 0.5 * cfg.dt * ev.bx
     m_lhs = ev.m if cfg.expectation_order == "zeroth" else _advanced_moments(ev, cfg.dt)
     x_new = stepper.solve(m_lhs, rhs)
     n_new = float(x_new @ x_new)
@@ -240,8 +218,8 @@ def cn_step(
 ) -> StateVector:
     """Single Crank-Nicolson step of the collapse dynamics."""
     cfg = cfg or CollapseConfig()
-    ev = _evaluate(opset, v.amps)
-    x_new, _ = _take_step(_Stepper(opset, cfg.dt), v.amps, ev, cfg)
+    ev = _generator(opset, v.amps)
+    x_new, _ = _take_step(_Stepper(opset, cfg.dt, ev.m.e1), v.amps, ev, cfg)
     return StateVector(x_new)
 
 
@@ -263,9 +241,9 @@ def collapse(
         if n0 == 0.0:
             raise DegenerateStateError("initial state has zero norm")
         x = x / np.sqrt(n0)
-    stepper = _Stepper(opset, cfg.dt)
-    ev = _evaluate(opset, x)
+    ev = _generator(opset, x)
     _stop_if_non_finite("residual", ev.residual, 0)
+    stepper = _Stepper(opset, cfg.dt, ev.m.e1)
     residual_trace = [ev.residual]
     norm_trace = [ev.norm2]
     moments_trace = [ev.m]
@@ -276,7 +254,7 @@ def collapse(
     for i in range(1, cfg.max_iter + 1):
         x, n_new = _take_step(stepper, x, ev, cfg)
         _stop_if_non_finite("step norm^2", n_new, i)
-        ev = _evaluate(opset, x)
+        ev = _generator(opset, x)
         _stop_if_non_finite("residual", ev.residual, i)
         residual_trace.append(ev.residual)
         norm_trace.append(n_new)
@@ -301,7 +279,11 @@ def collapse(
         iterations=iterations,
         residual_trace=np.asarray(residual_trace),
         norm_trace=np.asarray(norm_trace),
-        moments_trace=moments_trace,
+        moments_trace=Moments(
+            e1=np.array([m.e1 for m in moments_trace]),
+            e2=np.array([m.e2 for m in moments_trace]),
+            var=np.array([m.var for m in moments_trace]),
+        ),
         converged=converged,
         wall_time=time.perf_counter() - t0,
         warnings=warnings,

@@ -119,7 +119,8 @@ def load_state(path: str | Path) -> StateVector:
 
 def save_trace_csv(report: ConvergenceReport, path: str | Path) -> None:
     """Per-iteration trace: iter,norm,residual,e1_0..,var_0.. (row 0 = input)."""
-    n_ops = len(report.moments_trace[0].e1)
+    m = report.moments_trace
+    n_ops = m.e1.shape[1]
     header = (
         ["iter", "norm", "residual"]
         + [f"e1_{j}" for j in range(n_ops)]
@@ -129,11 +130,10 @@ def save_trace_csv(report: ConvergenceReport, path: str | Path) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         for i in range(report.iterations + 1):
-            m = report.moments_trace[i]
             w.writerow(
                 [i, _fmt(report.norm_trace[i]), _fmt(report.residual_trace[i])]
-                + [_fmt(x) for x in m.e1]
-                + [_fmt(x) for x in m.var]
+                + [_fmt(x) for x in m.e1[i]]
+                + [_fmt(x) for x in m.var[i]]
             )
 
 

@@ -295,7 +295,7 @@ class _TowingLadder:
         h = build_hamiltonian(replace(self.p, kappa=kappa))
         self.state, report = collapse(OperatorSet([h]), self.state, self.cfg)
         self.kappa = kappa
-        energy = float(self.state.amps @ h.matvec(self.state.amps)) / self.state.norm2
+        energy = float(report.moments_trace.e1[-1, 0])
         return ScanRow(
             kappa=float(kappa),
             inversion=atomic_inversion(self.state.normalized(), self.p.j),

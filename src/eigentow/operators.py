@@ -6,12 +6,13 @@ The collapse dynamics evolves a state under the generator
       = -sum_j [(O_j - E1_j*I)^2 + Var_j*I],
 
 which is negative semidefinite and vanishes exactly on common eigenvectors
-of the operator set {O_j}.
+of the operator set {O_j}.  `_generator` is the one place that evaluates it:
+`moments`, `apply_B` and the collapse loop all read its record.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -235,7 +236,7 @@ class StateVector:
 
 @dataclass
 class Moments:
-    """Per-operator first and second moments and variances of a state."""
+    """Per-operator first and second moments and variances (a row per iteration in a trace)."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -243,7 +244,7 @@ class Moments:
 
 
 class OperatorSet:
-    """Nonempty family of same-dimension symmetric operators, with cached squares."""
+    """Nonempty family of same-dimension symmetric operators."""
 
     def __init__(self, ops: Sequence[SparseSymmetricOperator]):
         ops = tuple(ops)
@@ -254,26 +255,12 @@ class OperatorSet:
             raise ContractViolationError("all operators must share one dimension")
         self.ops = ops
         self.dim = dim
-        self._squares: tuple[SparseSymmetricOperator, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.ops)
 
     def __iter__(self):
         return iter(self.ops)
-
-    @property
-    def squares(self) -> tuple[SparseSymmetricOperator, ...]:
-        if self._squares is None:
-            self._squares = tuple(op.square() for op in self.ops)
-        return self._squares
-
-    @property
-    def bandwidth(self) -> int:
-        return max(op.bandwidth for op in self.ops)
-
-    def matvecs(self, x: np.ndarray) -> list[np.ndarray]:
-        return [op.matvec(x) for op in self.ops]
 
 
 def matvec(op: SparseSymmetricOperator, v: StateVector) -> StateVector:
@@ -285,33 +272,54 @@ def matvec(op: SparseSymmetricOperator, v: StateVector) -> StateVector:
     return StateVector(op.matvec(v.amps))
 
 
+class _Generator(NamedTuple):
+    """The collapse generator evaluated at one state x."""
+
+    norm2: float  # |x|^2
+    m: Moments
+    bx: np.ndarray  # B x
+    residual: float  # |B x| / |x|
+    ox: list[np.ndarray]  # O_j x
+    o2x: list[np.ndarray]  # O_j (O_j x)
+
+
+def _generator(opset: OperatorSet, x: np.ndarray, m: Moments | None = None) -> _Generator:
+    """Moments and B x from two matvecs per operator.
+
+    B is built from the given moments, or from x's own when m is None.
+    """
+    n = float(x @ x)
+    ox = [op.matvec(x) for op in opset]
+    o2x = [op.matvec(o) for op, o in zip(opset, ox)]
+    if m is None:
+        if n == 0.0:
+            raise DegenerateStateError("moments of a zero vector are undefined")
+        e1 = np.empty(len(ox))
+        e2 = np.empty(len(ox))
+        for j, o in enumerate(ox):
+            e1[j] = (x @ o) / n
+            e2[j] = (o @ o) / n
+        # tiny negative variances only arise from rounding
+        m = Moments(e1=e1, e2=e2, var=np.maximum(e2 - e1 * e1, 0.0))
+    bx = -float(m.e2.sum()) * x
+    for j in range(len(ox)):
+        bx += 2.0 * m.e1[j] * ox[j] - o2x[j]
+    # a zero x, reachable only with given moments, has B x = 0
+    residual = float(np.linalg.norm(bx)) / np.sqrt(n) if n else 0.0
+    return _Generator(n, m, bx, residual, ox, o2x)
+
+
 def moments(opset: OperatorSet, v: StateVector) -> Moments:
     """Normalized expectations e1_j = <v|O_j|v>/n, e2_j = |O_j v|^2/n, var = e2 - e1^2.
 
     Variances are clamped at zero; tiny negatives only arise from rounding.
     """
-    n = v.norm2
-    if n == 0.0:
-        raise DegenerateStateError("moments of a zero vector are undefined")
-    x = v.amps
-    e1 = np.empty(len(opset))
-    e2 = np.empty(len(opset))
-    for j, op in enumerate(opset):
-        ox = op.matvec(x)
-        e1[j] = (x @ ox) / n
-        e2[j] = (ox @ ox) / n
-    var = np.maximum(e2 - e1 * e1, 0.0)
-    return Moments(e1=e1, e2=e2, var=var)
+    return _generator(opset, v.amps).m
 
 
 def apply_B(opset: OperatorSet, v: StateVector, m: Moments) -> StateVector:
     """Action of the collapse generator: sum_j [2 e1_j O_j v - O_j^2 v - e2_j v]."""
-    x = v.amps
-    out = -float(m.e2.sum()) * x
-    for j, op in enumerate(opset):
-        ox = op.matvec(x)
-        out += 2.0 * m.e1[j] * ox - op.matvec(ox)
-    return StateVector(out)
+    return StateVector(_generator(opset, v.amps, m).bx)
 
 
 def assemble_solve_matrix(

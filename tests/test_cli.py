@@ -127,6 +127,36 @@ class TestTowCommand:
         assert all(int(r[1]) >= 4 for r in rows[1:])  # refine doubled the rungs
         assert all(float(r[2]) < 1e-9 for r in rows[1:])
 
+    def test_rayleigh_covers_every_operator(self, tmp_path):
+        # the identity comes first and has a zero Rayleigh residual on every
+        # state, so the column must read the second operator's
+        ops = [
+            SparseSymmetricOperator.identity(4),
+            SparseSymmetricOperator.diagonal([0.0, 1.0, 2.0, 3.0]),
+        ]
+        args = []
+        for k, op in enumerate(ops):
+            save_matrix(op, tmp_path / f"op{k}.txt")
+            args += ["--base", tmp_path / f"op{k}.txt", "--target", tmp_path / f"op{k}.txt"]
+        seed = tmp_path / "seed.txt"
+        save_state(StateVector(np.array([0.5, 0.5, 0.5, 0.5])), seed)
+        out = tmp_path / "tow"
+        code = run(
+            "tow", *args, "--steps", "1", "--target-state", seed,
+            "--max-iter", "1", "--out-dir", out,
+        )
+        assert code == 1  # one iteration does not converge
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        x = load_state(out / "state_0_custom.txt").amps
+        worst = 0.0
+        for op in ops:
+            a = op.to_dense()
+            rho = x @ a @ x / (x @ x)
+            worst = max(worst, np.linalg.norm(a @ x - rho * x) / np.linalg.norm(x))
+        assert worst > 0.1
+        assert float(rows[0]["rayleigh"]) == pytest.approx(worst, rel=1e-12)
+
     def test_tow_requires_targets(self, tmp_path):
         base = tmp_path / "base.txt"
         save_matrix(build_hamiltonian(JCParams(8, 0.0)), base)

@@ -159,6 +159,42 @@ class TestSingleOperatorSolve:
             assert err <= 1e-12, f"dt={dt}: relative error {err:.2e}"
 
 
+class TestMultiOperatorSolve:
+    """cn_step on a pair of operators far from the origin against a dense solve."""
+
+    @pytest.mark.parametrize("permuted", [False, True], ids=["banded", "splu"])
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e3, 1e4])
+    def test_matches_dense_reference(self, offset, permuted, rng):
+        # a tridiagonal operator paired with the identity; the exchange
+        # permutation on a 14x14 product space widens its squares past the
+        # banded limit, so the SPD system goes to the sparse LU
+        n = 14
+        ops = [
+            SparseSymmetricOperator.from_tridiagonal(
+                offset + np.arange(float(n * n)), 0.3 * rng.standard_normal(n * n - 1)
+            ),
+            SparseSymmetricOperator.identity(n * n),
+        ]
+        x = rng.standard_normal(n * n)
+        x /= np.linalg.norm(x)
+        if permuted:
+            p = exchange_operator(n).to_dense()
+            ops = [SparseSymmetricOperator.from_dense(p @ op.to_dense() @ p.T) for op in ops]
+            x = p @ x
+        opset = OperatorSet(ops)
+        v = StateVector(x)
+        dt = 0.1
+        m = moments(opset, v)
+        assert _Stepper(opset, dt, m.e1).banded != permuted
+        bx = apply_B(opset, v, m).amps
+        a = assemble_solve_matrix(opset, m, dt).to_dense()
+        expect = np.linalg.solve(a, x + 0.5 * dt * bx)
+        cfg = CollapseConfig(dt=dt, renormalize_every_step=False)
+        got = cn_step(opset, v, cfg).amps
+        err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
+        assert err <= 1e-12, f"relative error {err:.2e}"
+
+
 class TestNonFinite:
     def test_operator_rejects_nan_on_diagonal(self):
         diag = np.arange(50.0)
@@ -200,14 +236,28 @@ class TestCollapse:
         assert abs(abs(final.amps[1]) - 1.0) < 1e-6
 
     def test_report_traces_aligned(self, rng):
-        opset = diag_set([0.0, 1.0, 3.0])
+        # one operator and a commuting pair; row 0 of every trace is the
+        # normalized input, evaluated exactly as moments and apply_B do
         v = StateVector(np.array([0.2, 0.9, 0.3]))
-        final, report = collapse(opset, v)
-        assert len(report.residual_trace) == report.iterations + 1
-        assert len(report.norm_trace) == report.iterations + 1
-        assert len(report.moments_trace) == report.iterations + 1
-        assert report.residual_trace[-1] <= 1e-10
-        assert report.wall_time >= 0.0
+        u = v.normalized()
+        d1 = SparseSymmetricOperator.diagonal([0.0, 1.0, 3.0])
+        d2 = SparseSymmetricOperator.diagonal([1.0, 1.0, 0.0])
+        for opset in (OperatorSet([d1]), OperatorSet([d1, d2])):
+            final, report = collapse(opset, v)
+            rows = report.iterations + 1
+            assert report.residual_trace.shape == (rows,)
+            assert report.norm_trace.shape == (rows,)
+            mt = report.moments_trace
+            for trace in (mt.e1, mt.e2, mt.var):
+                assert trace.shape == (rows, len(opset))
+            m0 = moments(opset, u)
+            np.testing.assert_array_equal(mt.e1[0], m0.e1)
+            np.testing.assert_array_equal(mt.e2[0], m0.e2)
+            np.testing.assert_array_equal(mt.var[0], m0.var)
+            bu = apply_B(opset, u, m0).amps
+            assert report.residual_trace[0] == np.linalg.norm(bu) / u.norm
+            assert report.residual_trace[-1] <= 1e-10
+            assert report.wall_time >= 0.0
 
     def test_each_step_contracts(self):
         # the generator is negative semidefinite, so every step shrinks the
@@ -321,7 +371,8 @@ class TestCollapse:
             opset2 = OperatorSet(
                 [SparseSymmetricOperator.from_dense(p @ op.to_dense() @ p.T) for op in ops]
             )
-            assert _Stepper(opset, 1.1).banded and not _Stepper(opset2, 1.1).banded
+            c = moments(opset, StateVector(x)).e1
+            assert _Stepper(opset, 1.1, c).banded and not _Stepper(opset2, 1.1, c).banded
             f2, r2 = collapse(opset2, StateVector(p @ x), CollapseConfig(max_iter=400))
 
             assert r1.converged == r2.converged
