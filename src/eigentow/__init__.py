@@ -52,7 +52,6 @@ from .oracle import (
 from .towing import (
     TowingPlan,
     TowingResult,
-    effective_parallelism,
     make_schedule,
     refine,
     squared_overlap,
@@ -106,7 +105,6 @@ __all__ = [
     "tridiag_eigenvalues",
     "TowingPlan",
     "TowingResult",
-    "effective_parallelism",
     "make_schedule",
     "refine",
     "squared_overlap",

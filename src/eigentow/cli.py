@@ -36,7 +36,7 @@ from .jaynes_cummings import (
     scan_kappa,
 )
 from .operators import OperatorSet, SparseSymmetricOperator, StateVector
-from .oracle import dense_eig, rayleigh_residual, tridiag_eig
+from .oracle import _resolve_indices, dense_eig, rayleigh_residual, tridiag_eig
 from .towing import TowingPlan, tow_many
 
 __all__ = ["main"]
@@ -67,7 +67,6 @@ def _collapse_config(args: argparse.Namespace) -> CollapseConfig:
         dt=args.dt,
         tol=args.tol,
         max_iter=args.max_iter,
-        expectation_order=args.order,
     )
 
 
@@ -198,7 +197,7 @@ def _tridiag_parts(op: SparseSymmetricOperator) -> tuple[np.ndarray, np.ndarray]
 
 def _cmd_oracle_eig(args: argparse.Namespace) -> int:
     op = load_matrix(args.matrix)
-    indices = sorted(set(args.indices)) if args.indices else list(range(op.dim))
+    indices = _resolve_indices(op.dim, args.indices)
     if args.tridiag:
         diag, off = _tridiag_parts(op)
         dec = tridiag_eig(diag, off, indices=indices)
@@ -266,12 +265,6 @@ def _add_collapse_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=float, default=1.1, help="time step (default 1.1)")
     p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
     p.add_argument("--max-iter", type=int, default=100000)
-    p.add_argument(
-        "--order",
-        choices=("zeroth", "first"),
-        default="zeroth",
-        help="expectation-value update order inside each implicit step",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -302,7 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-index", type=int, nargs="+", help="basis-state targets")
     p.add_argument("--target-state", action="append", help="state-file target")
     p.add_argument("--refine", type=float, default=None, help="ladder agreement tolerance")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument(
+        "--parallel", type=int, default=1, help="accepted (>= 1) but has no effect"
+    )
     _add_collapse_flags(p)
     p.add_argument("--out-dir", default=".", help="directory for per-target outputs")
     p.set_defaults(func=_cmd_tow)

@@ -2,14 +2,12 @@
 
 Each step solves the trapezoidal system
 
-    (I - (dt/2) B(m_lhs)) v' = (I + (dt/2) B(m)) v,
+    (I - (dt/2) B(m)) v' = (I + (dt/2) B(m)) v,
 
-where B is the negative-semidefinite collapse generator, so the left-hand
-matrix A = I + (dt/2) sum_j [(O_j - e1_j)^2 + var_j] is symmetric positive
-definite for every dt > 0.  The zeroth-order mode freezes the moments over
-the step (m_lhs = m); the first-order mode advances e1 and e2 by their
-leading-order drift, and var = max(e2 - e1^2, 0), before forming the
-implicit side.
+where B is the negative-semidefinite collapse generator with the moments m
+of the current state frozen over the step, so the left-hand matrix
+A = I + (dt/2) sum_j [(O_j - e1_j)^2 + var_j] is symmetric positive
+definite for every dt > 0.
 
 For one operator H the matrix factors over the complex numbers:
 
@@ -61,7 +59,6 @@ class CollapseConfig:
     dt: float = 1.1
     tol: float = 1e-10
     max_iter: int = 100000
-    expectation_order: str = "zeroth"
     renormalize_every_step: bool = True
 
     def __post_init__(self) -> None:
@@ -71,11 +68,6 @@ class CollapseConfig:
             raise ParameterError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.expectation_order not in ("zeroth", "first"):
-            raise ParameterError(
-                f"expectation_order must be 'zeroth' or 'first', "
-                f"got {self.expectation_order!r}"
-            )
 
 
 @dataclass
@@ -95,15 +87,6 @@ class ConvergenceReport:
     converged: bool
     wall_time: float
     warnings: list[str] = field(default_factory=list)
-
-
-def _advanced_moments(ev: _Generator, dt: float) -> Moments:
-    """First-order drift of the moments along the collapse flow."""
-    drift1 = 2.0 * dt * np.array([o @ ev.bx for o in ev.ox]) / ev.norm2
-    drift2 = 2.0 * dt * np.array([o @ ev.bx for o in ev.o2x]) / ev.norm2
-    e1 = ev.m.e1 + drift1
-    e2 = ev.m.e2 + drift2
-    return Moments(e1=e1, e2=e2, var=np.maximum(e2 - e1 * e1, 0.0))
 
 
 def _general_band(upper: np.ndarray) -> np.ndarray:
@@ -202,9 +185,7 @@ def _take_step(
     stepper: _Stepper, x: np.ndarray, ev: _Generator, cfg: CollapseConfig
 ) -> tuple[np.ndarray, float]:
     """One trapezoidal step; returns the new state and its pre-renormalization norm^2."""
-    rhs = x + 0.5 * cfg.dt * ev.bx
-    m_lhs = ev.m if cfg.expectation_order == "zeroth" else _advanced_moments(ev, cfg.dt)
-    x_new = stepper.solve(m_lhs, rhs)
+    x_new = stepper.solve(ev.m, x + 0.5 * cfg.dt * ev.bx)
     n_new = float(x_new @ x_new)
     if cfg.renormalize_every_step:
         if n_new == 0.0:

@@ -279,8 +279,6 @@ class _Generator(NamedTuple):
     m: Moments
     bx: np.ndarray  # B x
     residual: float  # |B x| / |x|
-    ox: list[np.ndarray]  # O_j x
-    o2x: list[np.ndarray]  # O_j (O_j x)
 
 
 def _generator(opset: OperatorSet, x: np.ndarray, m: Moments | None = None) -> _Generator:
@@ -306,7 +304,7 @@ def _generator(opset: OperatorSet, x: np.ndarray, m: Moments | None = None) -> _
         bx += 2.0 * m.e1[j] * ox[j] - o2x[j]
     # a zero x, reachable only with given moments, has B x = 0
     residual = float(np.linalg.norm(bx)) / np.sqrt(n) if n else 0.0
-    return _Generator(n, m, bx, residual, ox, o2x)
+    return _Generator(n, m, bx, residual)
 
 
 def moments(opset: OperatorSet, v: StateVector) -> Moments:

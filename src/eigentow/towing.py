@@ -2,14 +2,13 @@
 
 A towing plan interpolates from a solved base operator set to a target set
 in M increments; each rung re-collapses the previous converged state under
-the perturbed set.  Per-target runs are independent, so many targets can be
-towed in parallel with a deterministic merge.
+the perturbed set.  `tow_many` tows a plan's targets one after another; a
+target that fails yields a result carrying its error, and the rest still run.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "tow",
     "refine",
     "tow_many",
-    "effective_parallelism",
     "squared_overlap",
 ]
 
@@ -43,22 +41,6 @@ def squared_overlap(a: StateVector, b: StateVector) -> float:
     if denom == 0.0:
         raise ContractViolationError("overlap with a zero vector is undefined")
     return float(a.amps @ b.amps) ** 2 / denom
-
-
-def effective_parallelism(requested: int) -> int:
-    """Requested worker count capped by the EIGENTOW_THREADS environment variable."""
-    if requested < 1:
-        raise ParameterError("parallelism must be >= 1")
-    raw = os.environ.get("EIGENTOW_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ParameterError(f"EIGENTOW_THREADS must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ParameterError(f"EIGENTOW_THREADS must be >= 1, got {cap}")
-        return min(requested, cap)
-    return requested
 
 
 @dataclass
@@ -246,27 +228,28 @@ def tow_many(
     parallelism: int = 1,
     refine_tol: float | None = None,
 ) -> list[TowingResult]:
-    """Tow every plan target as an independent task; results follow target order.
+    """Tow every plan target in turn on the calling thread; results follow target order.
 
-    A failing target yields a TowingResult carrying its error; siblings are
-    unaffected.  Output order is the plan's target order regardless of
-    scheduling, so parallel and serial runs produce identical results.
+    A failing target yields a TowingResult carrying its error; the other
+    targets are unaffected.  parallelism must be >= 1 and does not change
+    how the run executes: the targets always run one after another, because
+    worker threads made the tows slower (they contend for the interpreter
+    lock and share the cores with the BLAS threads).
     """
+    if parallelism < 1:
+        raise ParameterError(f"parallelism must be >= 1, got {parallelism}")
     cfg = cfg or CollapseConfig()
-    specs = list(plan.targets)
-    if not specs:
-        return []
-    workers = effective_parallelism(parallelism)
-
-    def run(item: tuple[int, TargetSpec]) -> TowingResult:
-        pos, spec = item
+    results = []
+    for pos, spec in enumerate(plan.targets):
         try:
             if refine_tol is not None:
-                return refine(plan, spec, cfg, agreement_tol=refine_tol)
-            return tow(plan, spec, cfg)
+                results.append(refine(plan, spec, cfg, agreement_tol=refine_tol))
+            else:
+                results.append(tow(plan, spec, cfg))
         except Exception as exc:
-            tid = int(spec) if isinstance(spec, int) else f"custom_{pos}"
-            return TowingResult(
+            # numpy integers are Integral; a spec int() rejects must not raise here
+            tid = int(spec) if isinstance(spec, Integral) else f"custom_{pos}"
+            results.append(TowingResult(
                 target_id=tid,
                 final_state=None,
                 per_step_reports=[],
@@ -274,7 +257,5 @@ def tow_many(
                 refined_steps=plan.steps,
                 converged=False,
                 error=str(exc),
-            )
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(specs))) as pool:
-        return list(pool.map(run, enumerate(specs)))
+            ))
+    return results

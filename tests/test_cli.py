@@ -162,6 +162,14 @@ class TestTowCommand:
         save_matrix(build_hamiltonian(JCParams(8, 0.0)), base)
         assert run("tow", "--base", base, "--target", base, "--out-dir", tmp_path) == 2
 
+    def test_tow_rejects_zero_parallel(self, tmp_path):
+        base = tmp_path / "base.txt"
+        save_matrix(build_hamiltonian(JCParams(8, 0.0)), base)
+        assert run(
+            "tow", "--base", base, "--target", base, "--target-index", "0",
+            "--parallel", "0", "--out-dir", tmp_path,
+        ) == 2
+
     def test_tow_state_file_target(self, tmp_path):
         base, target = tmp_path / "base.txt", tmp_path / "target.txt"
         save_matrix(build_hamiltonian(JCParams(10, 0.0)), base)
@@ -256,6 +264,14 @@ class TestOracleCommand:
         assert [r[0] for r in rows[1:]] == ["0", "5"]
         v0 = load_state(vec_dir / "state_0.txt")
         assert abs(v0.norm - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("index", [-1, 99])
+    def test_dense_rejects_out_of_range_index(self, tmp_path, index):
+        matrix = tmp_path / "jc10.txt"
+        save_matrix(build_hamiltonian(JCParams(10, 0.1)), matrix)  # dim 11
+        out = tmp_path / "eig.csv"
+        assert run("oracle", "eig", "--matrix", matrix, "--indices", index, "--out", out) == 2
+        assert not out.exists()
 
     def test_tridiag_path_matches_dense(self, jc_matrix, tmp_path):
         out_d = tmp_path / "dense.csv"

@@ -8,7 +8,6 @@ from eigentow import (
     ContractViolationError,
     DegenerateStateError,
     JCParams,
-    Moments,
     OperatorSet,
     ParameterError,
     SparseSymmetricOperator,
@@ -34,7 +33,6 @@ class TestConfig:
         assert cfg.dt == 1.1
         assert cfg.tol == 1e-10
         assert cfg.max_iter == 100000
-        assert cfg.expectation_order == "zeroth"
         assert cfg.renormalize_every_step
 
     @pytest.mark.parametrize(
@@ -44,7 +42,6 @@ class TestConfig:
             {"dt": -1.0},
             {"tol": 0.0},
             {"max_iter": 0},
-            {"expectation_order": "second"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -129,7 +126,8 @@ _REFERENCE_CASES = {
 class TestSingleOperatorSolve:
     """cn_step on one operator against a dense solve of the SPD system."""
 
-    @pytest.mark.parametrize("order", ["zeroth", "first"])
+    # "zeroth": the step freezes the moments at the current state
+    @pytest.mark.parametrize("order", ["zeroth"])
     @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
     def test_matches_dense_reference(self, case, order, rng):
         op = _REFERENCE_CASES[case](rng)
@@ -139,21 +137,12 @@ class TestSingleOperatorSolve:
         x = rng.standard_normal(op.dim)
         x /= np.linalg.norm(x)
         v = StateVector(x)
-        # at the larger steps the first-order drift overshoots and clamps the
-        # advanced variance to 0; dt = 0.001 keeps it positive
         for dt in (1.1, 0.1, 0.001):
             m = moments(opset, v)
             bx = apply_B(opset, v, m).amps
-            m_lhs = m
-            if order == "first":
-                ox = op.matvec(x)
-                o2x = op.matvec(ox)
-                e1 = m.e1 + 2.0 * dt * np.array([ox @ bx]) / v.norm2
-                e2 = m.e2 + 2.0 * dt * np.array([o2x @ bx]) / v.norm2
-                m_lhs = Moments(e1=e1, e2=e2, var=np.maximum(e2 - e1 * e1, 0.0))
-            a = assemble_solve_matrix(opset, m_lhs, dt).to_dense()
+            a = assemble_solve_matrix(opset, m, dt).to_dense()
             expect = np.linalg.solve(a, x + 0.5 * dt * bx)
-            cfg = CollapseConfig(dt=dt, expectation_order=order, renormalize_every_step=False)
+            cfg = CollapseConfig(dt=dt, renormalize_every_step=False)
             got = cn_step(opset, v, cfg).amps
             err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
             assert err <= 1e-12, f"dt={dt}: relative error {err:.2e}"
@@ -297,16 +286,6 @@ class TestCollapse:
         final, report = collapse(opset, v, CollapseConfig(max_iter=2, tol=1e-300))
         assert not report.converged
         assert report.iterations == 2
-
-    def test_first_order_mode_agrees_on_limit(self):
-        opset = diag_set([0.0, 1.0, 2.0])
-        v = StateVector(np.array([0.2, 0.9, 0.37]))
-        f0, r0 = collapse(opset, v, CollapseConfig(expectation_order="zeroth"))
-        f1, r1 = collapse(opset, v, CollapseConfig(expectation_order="first"))
-        assert r0.converged and r1.converged
-        assert min(
-            np.linalg.norm(f0.amps - f1.amps), np.linalg.norm(f0.amps + f1.amps)
-        ) < 1e-8
 
     def test_renormalize_off_same_direction(self):
         opset = diag_set([0.0, 1.0, 2.0])

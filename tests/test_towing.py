@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,12 @@ from eigentow import (
     SparseSymmetricOperator,
     StateVector,
     build_hamiltonian,
-    effective_parallelism,
     make_schedule,
     refine,
     squared_overlap,
     tow,
     tow_many,
+    towing,
 )
 from eigentow.oracle import tridiag_eig
 from eigentow.towing import TowingPlan
@@ -209,11 +211,41 @@ class TestTowMany:
         assert not results[1].converged
         assert results[1].error is not None
         assert results[1].final_state is None
+        # numpy integer targets keep their index as the id when they fail too;
+        # a target that is no integer at all still yields an error result
+        targets = [np.int64(1), np.int64(99), "x"]
+        plan = TowingPlan(base, target, steps=2, targets=targets)
+        results = tow_many(plan, CollapseConfig(max_iter=20000))
+        assert [r.target_id for r in results] == [1, 99, "custom_2"]
+        assert results[0].converged
+        assert results[1].error is not None and results[2].error is not None
 
     def test_empty_target_list(self):
         base, target = jc_sets(6, 0.0, 0.1)
         plan = TowingPlan(base, target, steps=1, targets=[])
         assert tow_many(plan) == []
+
+    def test_targets_run_in_order_on_calling_thread(self, monkeypatch):
+        base, target = jc_sets(8, 0.0, 0.1)
+        plan = TowingPlan(base, target, steps=1, targets=[3, 0, 2])
+        calls = []
+        original = towing.tow
+
+        def recording_tow(plan, spec, cfg=None):
+            calls.append((threading.get_ident(), spec))
+            return original(plan, spec, cfg)
+
+        monkeypatch.setattr(towing, "tow", recording_tow)
+        results = tow_many(plan, CollapseConfig(max_iter=20000), parallelism=4)
+        assert calls == [(threading.get_ident(), t) for t in (3, 0, 2)]
+        assert [r.target_id for r in results] == [3, 0, 2]
+
+    def test_parallelism_validation(self):
+        base, target = jc_sets(6, 0.0, 0.1)
+        for targets in ([1], []):
+            plan = TowingPlan(base, target, steps=1, targets=targets)
+            with pytest.raises(ParameterError):
+                tow_many(plan, parallelism=0)
 
     def test_refine_tol_forwarded(self):
         base, target = jc_sets(12, 0.0, 0.1)
@@ -221,26 +253,3 @@ class TestTowMany:
         results = tow_many(plan, CollapseConfig(max_iter=20000), refine_tol=1e-6)
         assert results[0].agreement is True
         assert results[0].refined_steps == 2
-
-
-class TestEffectiveParallelism:
-    def test_no_env_passthrough(self, monkeypatch):
-        monkeypatch.delenv("EIGENTOW_THREADS", raising=False)
-        assert effective_parallelism(7) == 7
-
-    def test_env_caps(self, monkeypatch):
-        monkeypatch.setenv("EIGENTOW_THREADS", "2")
-        assert effective_parallelism(7) == 2
-        assert effective_parallelism(1) == 1
-
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("EIGENTOW_THREADS", "zero")
-        with pytest.raises(ParameterError):
-            effective_parallelism(2)
-        monkeypatch.setenv("EIGENTOW_THREADS", "0")
-        with pytest.raises(ParameterError):
-            effective_parallelism(2)
-
-    def test_requested_validation(self):
-        with pytest.raises(ParameterError):
-            effective_parallelism(0)
