@@ -1,7 +1,8 @@
 """eigentow: eigenstates of commuting symmetric operators via collapse dynamics.
 
 The core loop integrates the nonlinear relaxation whose stable fixed points
-are common eigenvectors, using a semi-implicit trapezoidal step.  On top of
+are common eigenvectors, using an L-stable implicit-Euler step on a centred
+generator, which converges in tens of steps at the default dt.  On top of
 it sit eigenstate towing along operator ladders, an eigenbasis coefficient
 simulator with a closed-form decoherence oracle, a molecules-plus-field
 test problem with finite-size scaling experiments, and brute-force
@@ -15,7 +16,7 @@ from .coeffsim import (
     lindblad_closed_form,
     probabilities,
 )
-from .collapse import CollapseConfig, ConvergenceReport, cn_step, collapse
+from .collapse import CollapseConfig, ConvergenceReport, collapse, implicit_step
 from .errors import ContractViolationError, DegenerateStateError, ParameterError
 from .jaynes_cummings import (
     JCParams,
@@ -72,8 +73,8 @@ __all__ = [
     "probabilities",
     "CollapseConfig",
     "ConvergenceReport",
-    "cn_step",
     "collapse",
+    "implicit_step",
     "ContractViolationError",
     "DegenerateStateError",
     "ParameterError",

@@ -1,26 +1,30 @@
-"""Semi-implicit Crank-Nicolson integration of the nonlinear collapse dynamics.
+"""Semi-implicit (implicit-Euler) integration of the nonlinear collapse dynamics.
 
-Each step solves the trapezoidal system
+Each step solves
 
-    (I - (dt/2) B(m)) v' = (I + (dt/2) B(m)) v,
+    (I - dt B(m)) v' = v,
 
 where B is the negative-semidefinite collapse generator with the moments m
-of the current state frozen over the step, so the left-hand matrix
-A = I + (dt/2) sum_j [(O_j - e1_j)^2 + var_j] is symmetric positive
-definite for every dt > 0.
+of the current state frozen over the step, so the matrix
+A = I + dt sum_j [(O_j - e1_j)^2 + var_j] is symmetric positive definite for
+every dt > 0.  The step is L-stable: an eigencomponent whose decay rate is
+z/dt is multiplied by 1/(1 + z), which is monotone in z, so a step never
+reorders the instantaneous decay rates and converges in tens of steps at the
+default dt on the Jaynes-Cummings chain (28 to 33 from the low starts at
+N = 4000 and 64000).
 
 For one operator H the matrix factors over the complex numbers:
 
-    A = (dt/2) [(H - e1)^2 + s^2] = (dt/2) (H - e1 - i s)(H - e1 + i s),
+    A = dt [(H - e1)^2 + s^2] = dt (H - e1 - i s)(H - e1 + i s),
 
-with s^2 = var + 2/dt, so A^-1 r = (2 / (dt s)) Im[(H - e1 - i s)^-1 r] for
+with s^2 = var + 1/dt, so A^-1 r = (1 / (dt s)) Im[(H - e1 - i s)^-1 r] for
 real r.  One complex solve with H's bandwidth b (LAPACK zgtsv for b = 1,
 zgbsv otherwise; a complex sparse LU above _SHIFTED_BAND_LIMIT) replaces a
 real solve with bandwidth 2b, and H^2 is never formed.  Sets of two or more
 operators do not factor this way.  They square O_j - c_j once per run, c_j
 the e1_j of the first state, so that with d_j = e1_j - c_j each step's
 
-    A = I + (dt/2) sum_j [(O_j - c_j)^2 - 2 d_j (O_j - c_j) + d_j^2 + var_j]
+    A = I + dt sum_j [(O_j - c_j)^2 - 2 d_j (O_j - c_j) + d_j^2 + var_j]
 
 cancels no terms of size e1^2; it is solved with banded Cholesky
 (solveh_banded), or a real sparse LU once the squares pass _BAND_LIMIT.
@@ -37,10 +41,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DegenerateStateError, ParameterError
-from .operators import Moments, OperatorSet, StateVector, operator_from_csr
-from .operators import _generator, _Generator
+from .operators import Moments, OperatorSet, StateVector, moments, operator_from_csr
+from .operators import _generator
 
-__all__ = ["CollapseConfig", "ConvergenceReport", "cn_step", "collapse"]
+__all__ = ["CollapseConfig", "ConvergenceReport", "collapse", "implicit_step"]
 
 # Widest bands sent to LAPACK's banded solvers rather than a sparse LU.  On
 # full bands the banded solve is faster at every width measured (up to 128);
@@ -62,10 +66,11 @@ class CollapseConfig:
     renormalize_every_step: bool = True
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
-        if self.tol <= 0:
-            raise ParameterError(f"tol must be positive, got {self.tol}")
+        for name in ("dt", "tol"):
+            value = getattr(self, name)
+            # written so that NaN fails too
+            if not (np.isfinite(value) and value > 0):
+                raise ParameterError(f"{name} must be finite and positive, got {value}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -136,8 +141,8 @@ class _Stepper:
             self.centred = [op.csr for op in centred]
 
     def _solve_shifted(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
-        # A = (dt/2)[(H - e1)^2 + sigma^2] = (dt/2)(H - e1 - i sigma)(H - e1 + i sigma)
-        sigma = float(np.sqrt(m.var[0] + 2.0 / self.dt))
+        # A = dt[(H - e1)^2 + sigma^2] = dt(H - e1 - i sigma)(H - e1 + i sigma)
+        sigma = float(np.sqrt(m.var[0] + 1.0 / self.dt))
         z = complex(m.e1[0], sigma)
         b = rhs.astype(np.complex128)
         if self.banded:
@@ -147,20 +152,20 @@ class _Stepper:
             )
         else:
             y = spla.splu((self.h - z * self.identity).tocsc()).solve(b)
-        return (2.0 / (self.dt * sigma)) * y.imag
+        return (1.0 / (self.dt * sigma)) * y.imag
 
     def _solve_spd(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
         dt = self.dt
         # (O - e1)^2 = (O - c)^2 - 2 d (O - c) + d^2 with d = e1 - c
         d = m.e1 - self.centre
-        shift = 1.0 + 0.5 * dt * float((d * d + m.var).sum())
+        shift = 1.0 + dt * float((d * d + m.var).sum())
         if self.banded:
-            ab = 0.5 * dt * self.s2_band - dt * np.tensordot(d, self.o_bands, axes=(0, 0))
+            ab = dt * self.s2_band - 2.0 * dt * np.tensordot(d, self.o_bands, axes=(0, 0))
             ab[self.band] += shift
             return sla.solveh_banded(ab, rhs, lower=False, check_finite=False)
-        acc = shift * self.identity + 0.5 * dt * self.s2_sum
+        acc = shift * self.identity + dt * self.s2_sum
         for dj, op in zip(d, self.centred):
-            acc = acc - dt * dj * op
+            acc = acc - 2.0 * dt * dj * op
         return spla.splu(acc.tocsc()).solve(rhs)
 
     def solve(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
@@ -182,10 +187,10 @@ def _stop_if_non_finite(what: str, value: float, iteration: int) -> None:
 
 
 def _take_step(
-    stepper: _Stepper, x: np.ndarray, ev: _Generator, cfg: CollapseConfig
+    stepper: _Stepper, x: np.ndarray, m: Moments, cfg: CollapseConfig
 ) -> tuple[np.ndarray, float]:
-    """One trapezoidal step; returns the new state and its pre-renormalization norm^2."""
-    x_new = stepper.solve(ev.m, x + 0.5 * cfg.dt * ev.bx)
+    """One implicit-Euler step; returns the new state and its pre-renormalization norm^2."""
+    x_new = stepper.solve(m, x)
     n_new = float(x_new @ x_new)
     if cfg.renormalize_every_step:
         if n_new == 0.0:
@@ -194,20 +199,20 @@ def _take_step(
     return x_new, n_new
 
 
-def cn_step(
+def implicit_step(
     opset: OperatorSet, v: StateVector, cfg: CollapseConfig | None = None
 ) -> StateVector:
-    """Single Crank-Nicolson step of the collapse dynamics."""
+    """Single implicit-Euler step (I - dt B(m)) v' = v of the collapse dynamics."""
     cfg = cfg or CollapseConfig()
-    ev = _generator(opset, v.amps)
-    x_new, _ = _take_step(_Stepper(opset, cfg.dt, ev.m.e1), v.amps, ev, cfg)
+    m = moments(opset, v)
+    x_new, _ = _take_step(_Stepper(opset, cfg.dt, m.e1), v.amps, m, cfg)
     return StateVector(x_new)
 
 
 def collapse(
     opset: OperatorSet, v0: StateVector, cfg: CollapseConfig | None = None
 ) -> tuple[StateVector, ConvergenceReport]:
-    """Iterate cn_step until the residual |B v|/|v| drops below cfg.tol.
+    """Iterate implicit_step until the residual |B v|/|v| drops below cfg.tol.
 
     Returns the final state and a report; report.converged is False when
     max_iter is exhausted first.  The caller decides how to proceed then.
@@ -233,7 +238,7 @@ def collapse(
     iterations = 0
     stagnation_reported = False
     for i in range(1, cfg.max_iter + 1):
-        x, n_new = _take_step(stepper, x, ev, cfg)
+        x, n_new = _take_step(stepper, x, ev.m, cfg)
         _stop_if_non_finite("step norm^2", n_new, i)
         ev = _generator(opset, x)
         _stop_if_non_finite("residual", ev.residual, i)

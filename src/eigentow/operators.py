@@ -282,60 +282,71 @@ class _Generator(NamedTuple):
 
 
 def _generator(opset: OperatorSet, x: np.ndarray, m: Moments | None = None) -> _Generator:
-    """Moments and B x from two matvecs per operator.
+    """Moments and B x from two matvecs per operator, evaluated centred.
 
-    B is built from the given moments, or from x's own when m is None.
+    With y_j = O_j x - e1_j x, var_j = |y_j|^2/n and
+    B x = -sum_j [O_j y_j - e1_j y_j + var_j x], so no terms of size e1^2
+    cancel and, up to rounding, O_j -> O_j + c I leaves the residual as it is.
+    B is built from the given moments' e1 and var, or from x's own when m is
+    None.
     """
     n = float(x @ x)
-    ox = [op.matvec(x) for op in opset]
-    o2x = [op.matvec(o) for op, o in zip(opset, ox)]
     if m is None:
         if n == 0.0:
             raise DegenerateStateError("moments of a zero vector are undefined")
-        e1 = np.empty(len(ox))
-        e2 = np.empty(len(ox))
-        for j, o in enumerate(ox):
-            e1[j] = (x @ o) / n
-            e2[j] = (o @ o) / n
-        # tiny negative variances only arise from rounding
-        m = Moments(e1=e1, e2=e2, var=np.maximum(e2 - e1 * e1, 0.0))
-    bx = -float(m.e2.sum()) * x
-    for j in range(len(ox)):
-        bx += 2.0 * m.e1[j] * ox[j] - o2x[j]
+        e1 = np.empty(len(opset))
+        var = np.empty(len(opset))
+    else:
+        e1, var = m.e1, m.var
+    acc = None  # sum_j (O_j - e1_j) y_j, centred in place in the matvecs' outputs
+    for j, op in enumerate(opset):
+        y = op.matvec(x)
+        if m is None:
+            e1[j] = (x @ y) / n
+        y -= e1[j] * x
+        if m is None:
+            var[j] = (y @ y) / n
+        oy = op.matvec(y)
+        oy -= e1[j] * y
+        acc = oy if acc is None else acc + oy
+    acc += float(var.sum()) * x
+    bx = np.negative(acc, out=acc)
+    if m is None:
+        m = Moments(e1=e1, e2=var + e1 * e1, var=var)
     # a zero x, reachable only with given moments, has B x = 0
     residual = float(np.linalg.norm(bx)) / np.sqrt(n) if n else 0.0
     return _Generator(n, m, bx, residual)
 
 
 def moments(opset: OperatorSet, v: StateVector) -> Moments:
-    """Normalized expectations e1_j = <v|O_j|v>/n, e2_j = |O_j v|^2/n, var = e2 - e1^2.
+    """Normalized expectations e1_j = <v|O_j|v>/n and var_j = |O_j v - e1_j v|^2/n.
 
-    Variances are clamped at zero; tiny negatives only arise from rounding.
+    e2_j = var_j + e1_j^2.  The variance is a sum of squares, never negative.
     """
     return _generator(opset, v.amps).m
 
 
 def apply_B(opset: OperatorSet, v: StateVector, m: Moments) -> StateVector:
-    """Action of the collapse generator: sum_j [2 e1_j O_j v - O_j^2 v - e2_j v]."""
+    """Action of the collapse generator: -sum_j [(O_j - e1_j)^2 v + var_j v]."""
     return StateVector(_generator(opset, v.amps, m).bx)
 
 
 def assemble_solve_matrix(
     opset: OperatorSet, m: Moments, dt: float
 ) -> SparseSymmetricOperator:
-    """Implicit-step matrix A = I + (dt/2) sum_j [(O_j - e1_j I)^2 + var_j I].
+    """Implicit-step matrix A = I - dt B(m) = I + dt sum_j [(O_j - e1_j I)^2 + var_j I].
 
     Symmetric positive definite for every dt > 0: each summand is positive
     semidefinite, so the smallest eigenvalue of A is at least 1.
     """
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ParameterError(f"dt must be finite and positive, got {dt}")
     eye = sp.identity(opset.dim, format="csr")
-    acc = eye * (1.0 + 0.5 * dt * float(m.var.sum()))
+    acc = eye * (1.0 + dt * float(m.var.sum()))
     for j, op in enumerate(opset):
         # square the shifted operator, so no e1^2-sized terms cancel
         centred = op.csr - m.e1[j] * eye
-        acc = acc + 0.5 * dt * (centred @ centred)
+        acc = acc + dt * (centred @ centred)
     return operator_from_csr(acc)
 
 

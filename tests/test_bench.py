@@ -44,6 +44,13 @@ class TestSingleTimers:
         assert rec.iterations > 0
         assert rec.converged
 
+    def test_tow_converges_at_n1000(self):
+        # the ladder from zero coupling to 0.1 in three rungs: every rung
+        # converges within the default budget
+        rec = tow_end_to_end(1000)
+        assert rec.converged
+        assert not rec.timed_out
+
     def test_tow_record_keeps_failed_ladder(self):
         # a one-iteration budget fails the first rung; the cell stays, flagged
         rec = tow_end_to_end(50, max_iter=1)

@@ -241,7 +241,7 @@ class TestAssembleSolveMatrix:
         m = moments(opset, v)
         dt = 1.1
         b = 2 * m.e1[0] * a - a @ a - m.e2[0] * np.eye(5)
-        expect = np.eye(5) - (dt / 2) * b
+        expect = np.eye(5) - dt * b
         np.testing.assert_allclose(
             assemble_solve_matrix(opset, m, dt).to_dense(), expect, atol=1e-12
         )
