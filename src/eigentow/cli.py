@@ -98,12 +98,7 @@ def _cmd_tow(args: argparse.Namespace) -> int:
     plan = TowingPlan(
         base_set=base, target_set=target, steps=args.steps, targets=tuple(targets)
     )
-    results = tow_many(
-        plan,
-        _collapse_config(args),
-        parallelism=args.parallel,
-        refine_tol=args.refine,
-    )
+    results = tow_many(plan, _collapse_config(args), refine_tol=args.refine)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -185,14 +180,8 @@ def _cmd_jc_exponent(args: argparse.Namespace) -> int:
 def _tridiag_parts(op: SparseSymmetricOperator) -> tuple[np.ndarray, np.ndarray]:
     if op.bandwidth > 1:
         raise ParameterError("--tridiag requires a matrix with bandwidth <= 1")
-    diag = np.zeros(op.dim)
-    off = np.zeros(max(op.dim - 1, 0))
-    for r, c, v in zip(op.rows, op.cols, op.vals):
-        if r == c:
-            diag[r] = v
-        else:
-            off[r] = v
-    return diag, off
+    band = op.upper_banded(1)
+    return band[1], band[0, 1:]
 
 
 def _cmd_oracle_eig(args: argparse.Namespace) -> int:
@@ -295,9 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-index", type=int, nargs="+", help="basis-state targets")
     p.add_argument("--target-state", action="append", help="state-file target")
     p.add_argument("--refine", type=float, default=None, help="ladder agreement tolerance")
-    p.add_argument(
-        "--parallel", type=int, default=1, help="accepted (>= 1) but has no effect"
-    )
     _add_collapse_flags(p)
     p.add_argument("--out-dir", default=".", help="directory for per-target outputs")
     p.set_defaults(func=_cmd_tow)

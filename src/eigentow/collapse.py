@@ -63,7 +63,6 @@ class CollapseConfig:
     dt: float = 1.1
     tol: float = 1e-10
     max_iter: int = 100000
-    renormalize_every_step: bool = True
 
     def __post_init__(self) -> None:
         for name in ("dt", "tol"):
@@ -81,7 +80,7 @@ class ConvergenceReport:
 
     Index 0 of every trace describes the initial state; index i the state
     after step i.  norm_trace holds squared norms before renormalization,
-    so the per-step contraction stays visible in the renormalizing mode.
+    so the per-step contraction stays visible.
     moments_trace holds (iterations + 1, n_ops) arrays.
     """
 
@@ -186,26 +185,22 @@ def _stop_if_non_finite(what: str, value: float, iteration: int) -> None:
         raise DegenerateStateError(f"non-finite {what} ({value}) at iteration {iteration}")
 
 
-def _take_step(
-    stepper: _Stepper, x: np.ndarray, m: Moments, cfg: CollapseConfig
-) -> tuple[np.ndarray, float]:
-    """One implicit-Euler step; returns the new state and its pre-renormalization norm^2."""
+def _take_step(stepper: _Stepper, x: np.ndarray, m: Moments) -> tuple[np.ndarray, float]:
+    """One implicit-Euler step; returns the unit new state and its norm^2 before renormalizing."""
     x_new = stepper.solve(m, x)
     n_new = float(x_new @ x_new)
-    if cfg.renormalize_every_step:
-        if n_new == 0.0:
-            raise DegenerateStateError("state collapsed to zero during a step")
-        x_new = x_new / np.sqrt(n_new)
-    return x_new, n_new
+    if n_new == 0.0:
+        raise DegenerateStateError("state collapsed to zero during a step")
+    return x_new / np.sqrt(n_new), n_new
 
 
 def implicit_step(
     opset: OperatorSet, v: StateVector, cfg: CollapseConfig | None = None
 ) -> StateVector:
-    """Single implicit-Euler step (I - dt B(m)) v' = v of the collapse dynamics."""
+    """Single implicit-Euler step (I - dt B(m)) v' = v, renormalized to a unit state."""
     cfg = cfg or CollapseConfig()
     m = moments(opset, v)
-    x_new, _ = _take_step(_Stepper(opset, cfg.dt, m.e1), v.amps, m, cfg)
+    x_new, _ = _take_step(_Stepper(opset, cfg.dt, m.e1), v.amps, m)
     return StateVector(x_new)
 
 
@@ -221,12 +216,9 @@ def collapse(
     """
     cfg = cfg or CollapseConfig()
     t0 = time.perf_counter()
-    x = v0.amps
-    if cfg.renormalize_every_step:
-        n0 = float(x @ x)
-        if n0 == 0.0:
-            raise DegenerateStateError("initial state has zero norm")
-        x = x / np.sqrt(n0)
+    if v0.norm2 == 0.0:
+        raise DegenerateStateError("initial state has zero norm")
+    x = v0.amps / np.sqrt(v0.norm2)
     ev = _generator(opset, x)
     _stop_if_non_finite("residual", ev.residual, 0)
     stepper = _Stepper(opset, cfg.dt, ev.m.e1)
@@ -238,7 +230,7 @@ def collapse(
     iterations = 0
     stagnation_reported = False
     for i in range(1, cfg.max_iter + 1):
-        x, n_new = _take_step(stepper, x, ev.m, cfg)
+        x, n_new = _take_step(stepper, x, ev.m)
         _stop_if_non_finite("step norm^2", n_new, i)
         ev = _generator(opset, x)
         _stop_if_non_finite("residual", ev.residual, i)

@@ -271,52 +271,35 @@ def _eval_oracle(p: JCParams, k: int) -> Callable[[float], ScanRow]:
     return evaluate
 
 
-class _TowingLadder:
-    """Walks eigenvector k up the coupling ladder, re-collapsing per rung.
-
-    Rungs must be visited in ascending kappa order; the previous rung's
-    state seeds the next collapse.  Starts from the basis vector that is
-    the k-th eigenvector of the decoupled (kappa = 0) Hamiltonian.
-    """
-
-    def __init__(self, p: JCParams, k: int, cfg: CollapseConfig):
-        diag0, _ = _tridiag_arrays(replace(p, kappa=0.0))
-        order = np.argsort(diag0, kind="stable")
-        self.p = p
-        self.cfg = cfg
-        self.state = StateVector.basis(p.dim, int(order[k]))
-        self.kappa = 0.0
-
-    def advance(self, kappa: float) -> ScanRow:
-        if kappa < self.kappa - 1e-15:
-            raise ParameterError("towing ladder must move in ascending kappa order")
-        h = build_hamiltonian(replace(self.p, kappa=kappa))
-        self.state, report = collapse(OperatorSet([h]), self.state, self.cfg)
-        self.kappa = kappa
-        energy = float(report.moments_trace.e1[-1, 0])
-        return ScanRow(
-            kappa=float(kappa),
-            inversion=atomic_inversion(self.state.normalized(), self.p.j),
-            scaled_energy=energy / self.p.j,
-            converged=report.converged,
-        )
-
-
 def _towing_rows(
     p: JCParams, k: int, kappas: np.ndarray, cfg: CollapseConfig
 ) -> list[ScanRow]:
-    ladder = _TowingLadder(p, k, cfg)
-    rows = []
+    """Walk eigenvector k up the ascending kappas, re-collapsing at each one.
+
+    The walk starts from the basis vector that is the k-th eigenvector of the
+    decoupled (kappa = 0) Hamiltonian, ramps up to the first grid point, and
+    seeds every collapse with the previous converged state.
+    """
+    diag0, _ = _tridiag_arrays(replace(p, kappa=0.0))
+    state = StateVector.basis(p.dim, int(np.argsort(diag0, kind="stable")[k]))
     step = float(np.diff(kappas).min(initial=np.inf))
     if not np.isfinite(step) or step <= 0.0:
         step = max(kappas[-1], 1.0) / (_GRID_POINTS - 1)
-    # pre-ramp from the decoupled matrix up to the first grid point
+    ramp = np.empty(0)
     if kappas[0] > 0.0:
         n_ramp = min(int(math.ceil(kappas[0] / step)), 200)
-        for kap in np.linspace(0.0, kappas[0], n_ramp + 1)[1:-1]:
-            ladder.advance(float(kap))
-    for kap in kappas:
-        rows.append(ladder.advance(float(kap)))
+        ramp = np.linspace(0.0, kappas[0], n_ramp + 1)[1:-1]
+    rows = []
+    for i, kappa in enumerate(np.concatenate([ramp, kappas])):
+        h = build_hamiltonian(replace(p, kappa=float(kappa)))
+        state, report = collapse(OperatorSet([h]), state, cfg)
+        if i >= ramp.size:
+            rows.append(ScanRow(
+                kappa=float(kappa),
+                inversion=atomic_inversion(state.normalized(), p.j),
+                scaled_energy=float(report.moments_trace.e1[-1, 0]) / p.j,
+                converged=report.converged,
+            ))
     return rows
 
 

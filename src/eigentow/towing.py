@@ -1,13 +1,14 @@
 """Towing eigenstates along a ladder of operator perturbations.
 
-A towing plan interpolates from a solved base operator set to a target set
-in M increments; each rung re-collapses the previous converged state under
-the perturbed set.  `tow_many` tows a plan's targets one after another; a
+A towing plan is a chain of operator sets from a solved base set to a target
+set, split into M rungs; each rung re-collapses the previous converged state
+under the perturbed set.  `tow_many` tows a plan's targets one after another; a
 target that fails yields a result carrying its error, and the rest still run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Sequence
 
@@ -47,8 +48,11 @@ def squared_overlap(a: StateVector, b: StateVector) -> float:
 class TowingPlan:
     """Base and target operator sets plus the perturbation schedule.
 
-    Without custom_deltas the rung-i set is base + (i/steps)(target - base);
-    custom increments must telescope exactly from base to target.
+    The plan is a chain of knot operator sets from base to target, built
+    once: (base, target) without custom_deltas, else base + delta_1 + ...
+    + delta_k for k = 0..steps, where the increments must telescope exactly
+    to the target.  The rungs split the chain evenly, each rung set blending
+    linearly between its two neighbouring knots; refinement subdivides it.
     """
 
     base_set: OperatorSet
@@ -64,45 +68,50 @@ class TowingPlan:
             raise ContractViolationError("base and target operator counts differ")
         if self.steps < 1:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
-        if self.custom_deltas is not None:
-            deltas = tuple(tuple(step) for step in self.custom_deltas)
-            if len(deltas) != self.steps:
-                raise ContractViolationError("need one delta group per step")
-            if any(len(group) != len(self.base_set) for group in deltas):
-                raise ContractViolationError("each delta group needs one term per operator")
-            self.custom_deltas = deltas
-            for j, base_op in enumerate(self.base_set.ops):
-                terms = [(1.0, base_op)] + [(1.0, group[j]) for group in deltas]
-                total = combine_operators(terms)
-                diff = combine_operators(
-                    [(1.0, total), (-1.0, self.target_set.ops[j])]
+        if self.custom_deltas is None:
+            self._knots = (self.base_set, self.target_set)
+            return
+        deltas = tuple(tuple(step) for step in self.custom_deltas)
+        if len(deltas) != self.steps:
+            raise ContractViolationError("need one delta group per step")
+        if any(len(group) != len(self.base_set) for group in deltas):
+            raise ContractViolationError("each delta group needs one term per operator")
+        self.custom_deltas = deltas
+        knots = [self.base_set]
+        for group in deltas:
+            knots.append(OperatorSet([
+                combine_operators([(1.0, op), (1.0, delta)])
+                for op, delta in zip(knots[-1].ops, group)
+            ]))
+        for j, (last, target_op) in enumerate(zip(knots[-1].ops, self.target_set.ops)):
+            diff = combine_operators([(1.0, last), (-1.0, target_op)])
+            worst = float(np.abs(diff.vals).max()) if diff.nnz else 0.0
+            if worst > 1e-12:
+                raise ContractViolationError(
+                    f"deltas do not telescope to the target for operator {j} "
+                    f"(max entry deviation {worst:.3e})"
                 )
-                worst = float(np.abs(diff.vals).max()) if diff.nnz else 0.0
-                if worst > 1e-12:
-                    raise ContractViolationError(
-                        f"deltas do not telescope to the target for operator {j} "
-                        f"(max entry deviation {worst:.3e})"
-                    )
+        knots[-1] = self.target_set
+        self._knots = tuple(knots)
 
     def step_set(self, i: int) -> OperatorSet:
         """Operator set at rung i, i = 1..steps (rung steps equals the target)."""
         if not 1 <= i <= self.steps:
             raise ParameterError(f"rung {i} outside 1..{self.steps}")
-        if self.custom_deltas is None:
-            frac = i / self.steps
-            ops = [
-                combine_operators(
-                    [(1.0 - frac, b), (frac, t)]
-                )
-                for b, t in zip(self.base_set.ops, self.target_set.ops)
-            ]
-        else:
-            ops = []
-            for j, base_op in enumerate(self.base_set.ops):
-                terms = [(1.0, base_op)]
-                terms += [(1.0, self.custom_deltas[k][j]) for k in range(i)]
-                ops.append(combine_operators(terms))
-        return OperatorSet(ops)
+        k, r = divmod(i * (len(self._knots) - 1), self.steps)
+        if r == 0:
+            return self._knots[k]
+        t = r / self.steps
+        return OperatorSet([
+            combine_operators([(1.0 - t, a), (t, b)])
+            for a, b in zip(self._knots[k].ops, self._knots[k + 1].ops)
+        ])
+
+    def _doubled(self) -> TowingPlan:
+        """The same knot chain split into twice as many rungs."""
+        finer = copy.copy(self)
+        finer.steps = 2 * self.steps
+        return finer
 
 
 @dataclass
@@ -165,17 +174,6 @@ def tow(
     )
 
 
-def _halved_deltas(
-    deltas: Sequence[Sequence[SparseSymmetricOperator]],
-) -> tuple[tuple[SparseSymmetricOperator, ...], ...]:
-    out = []
-    for group in deltas:
-        half = tuple(combine_operators([(0.5, op)]) for op in group)
-        out.append(half)
-        out.append(half)
-    return tuple(out)
-
-
 def refine(
     plan: TowingPlan,
     target: TargetSpec,
@@ -186,9 +184,9 @@ def refine(
     """Double the rung count until two consecutive ladders land on one state.
 
     Compares the final states of the M-rung and 2M-rung ladders; on squared
-    overlap >= 1 - agreement_tol the finer result is returned.  Custom
-    increments are refined by splitting every delta in half, preserving the
-    perturbation path.
+    overlap >= 1 - agreement_tol the finer result is returned.  Every doubling
+    splits the same knot chain, so custom increments keep their perturbation
+    path.
     """
     if not 0 < agreement_tol < 1:
         raise ParameterError("agreement_tol must lie in (0, 1)")
@@ -196,14 +194,7 @@ def refine(
     current_plan = plan
     current = tow(current_plan, target, cfg)
     for _ in range(max_doublings):
-        if current_plan.custom_deltas is None:
-            finer_plan = replace(current_plan, steps=2 * current_plan.steps)
-        else:
-            finer_plan = replace(
-                current_plan,
-                steps=2 * current_plan.steps,
-                custom_deltas=_halved_deltas(current_plan.custom_deltas),
-            )
+        finer_plan = current_plan._doubled()
         finer = tow(finer_plan, target, cfg)
         if (
             current.converged

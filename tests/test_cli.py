@@ -162,14 +162,6 @@ class TestTowCommand:
         save_matrix(build_hamiltonian(JCParams(8, 0.0)), base)
         assert run("tow", "--base", base, "--target", base, "--out-dir", tmp_path) == 2
 
-    def test_tow_rejects_zero_parallel(self, tmp_path):
-        base = tmp_path / "base.txt"
-        save_matrix(build_hamiltonian(JCParams(8, 0.0)), base)
-        assert run(
-            "tow", "--base", base, "--target", base, "--target-index", "0",
-            "--parallel", "0", "--out-dir", tmp_path,
-        ) == 2
-
     def test_tow_state_file_target(self, tmp_path):
         base, target = tmp_path / "base.txt", tmp_path / "target.txt"
         save_matrix(build_hamiltonian(JCParams(10, 0.0)), base)

@@ -29,6 +29,21 @@ def jc_sets(n, kappa_base, kappa_target):
     return base, target
 
 
+def bent_path(n):
+    """JC base and target joined by three deltas whose knots leave the straight line."""
+    base, target = jc_sets(n, 0.0, 0.4)
+    diff = target.ops[0].to_dense() - base.ops[0].to_dense()
+    bump = np.diag(np.linspace(-0.3, 0.5, n + 1))
+    parts = [0.25 * diff + bump, 0.25 * diff, 0.5 * diff - bump]
+    return base, target, [[SparseSymmetricOperator.from_dense(d)] for d in parts]
+
+
+def assert_same_entries(a, b):
+    assert a.dim == b.dim
+    for name in ("rows", "cols", "vals"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 class TestPlan:
     def test_linear_interpolation(self):
         base, target = jc_sets(10, 0.0, 0.5)
@@ -39,6 +54,48 @@ class TestPlan:
         np.testing.assert_allclose(
             plan.step_set(4).ops[0].to_dense(), target.ops[0].to_dense(), atol=1e-14
         )
+        # every rung is bitwise the two-term blend, and the last holds the target
+        b, t = base.ops[0], target.ops[0]
+        for i in range(1, 4):
+            assert_same_entries(
+                plan.step_set(i).ops[0],
+                towing.combine_operators([(1.0 - i / 4, b), (i / 4, t)]),
+            )
+        assert_same_entries(plan.step_set(4).ops[0], t)
+
+    def test_custom_rungs_are_prebuilt_knots(self, monkeypatch):
+        base, target, deltas = bent_path(8)
+        plan = TowingPlan(base, target, steps=3, custom_deltas=deltas)
+        calls = []
+        original = towing.combine_operators
+
+        def counting(terms):
+            calls.append(terms)
+            return original(terms)
+
+        monkeypatch.setattr(towing, "combine_operators", counting)
+        expect = base.ops[0].to_dense()
+        for i, (delta,) in enumerate(deltas, start=1):
+            expect = expect + delta.to_dense()
+            np.testing.assert_allclose(
+                plan.step_set(i).ops[0].to_dense(), expect, rtol=0, atol=1e-14
+            )
+        assert len(calls) == 0
+
+    def test_doubled_odd_rungs_are_knot_midpoints(self):
+        base, target, deltas = bent_path(8)
+        plan = TowingPlan(base, target, steps=3, custom_deltas=deltas)
+        finer = plan._doubled()
+        assert finer.steps == 6 and plan.steps == 3
+        knots = [base.ops[0].to_dense()] + [plan.step_set(i).ops[0].to_dense() for i in (1, 2, 3)]
+        for k in range(3):
+            np.testing.assert_allclose(
+                finer.step_set(2 * k + 1).ops[0].to_dense(),
+                0.5 * (knots[k] + knots[k + 1]),
+                rtol=0,
+                atol=1e-14,
+            )
+            assert finer.step_set(2 * k + 2) is plan.step_set(k + 1)
 
     def test_rung_bounds(self):
         base, target = jc_sets(10, 0.0, 0.5)
