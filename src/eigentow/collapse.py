@@ -20,7 +20,10 @@ For one operator H the matrix factors over the complex numbers:
 with s^2 = var + 1/dt, so A^-1 r = (1 / (dt s)) Im[(H - e1 - i s)^-1 r] for
 real r.  One complex solve with H's bandwidth b (LAPACK zgtsv for b = 1,
 zgbsv otherwise; a complex sparse LU above _SHIFTED_BAND_LIMIT) replaces a
-real solve with bandwidth 2b, and H^2 is never formed.  Sets of two or more
+real solve with bandwidth 2b, and H^2 is never formed.  The LAPACK routine
+is fetched once per run and solves in place in buffers allocated once per
+run; each step restores the band it overwrote and writes the diagonal of
+H - e1 - i s into it.  Sets of two or more
 operators do not factor this way.  They square O_j - c_j once per run, c_j
 the e1_j of the first state, so that with d_j = e1_j - c_j each step's
 
@@ -29,6 +32,8 @@ the e1_j of the first state, so that with d_j = e1_j - c_j each step's
 cancels no terms of size e1^2; it is solved with banded Cholesky
 (solveh_banded), or a real sparse LU once the squares pass _BAND_LIMIT.
 The moments and B v come from operators._generator; this module only steps.
+The report names the solve path and the band, and totals the time spent
+evaluating the generator and stepping.
 """
 from __future__ import annotations
 
@@ -90,16 +95,24 @@ class ConvergenceReport:
     moments_trace: Moments
     converged: bool
     wall_time: float
+    solve_path: str  # "complex gtsv", "complex gbsv", "complex splu", "spd banded" or "real splu"
+    bandwidth: int  # of H for one operator, of the summed squares for several
+    evaluate_s: float  # total time evaluating moments and B x
+    solve_s: float  # total time in the implicit steps (solve and renormalization)
     warnings: list[str] = field(default_factory=list)
 
 
-def _general_band(upper: np.ndarray) -> np.ndarray:
-    """Complex (b, b) general band form ab[b + i - j, j] from upper banded storage."""
+def _lu_band(upper: np.ndarray) -> np.ndarray:
+    """Complex (b, b) LU band for zgbsv from upper banded storage.
+
+    F-ordered (3b + 1, dim): rows b.. hold ab[2b + i - j, j] = a[i, j], and
+    the first b rows are the zeroed room zgbsv needs for the LU's fill-in.
+    """
     b, dim = upper.shape[0] - 1, upper.shape[1]
-    ab = np.zeros((2 * b + 1, dim), dtype=np.complex128)
-    ab[: b + 1] = upper
+    ab = np.zeros((3 * b + 1, dim), dtype=np.complex128, order="F")
+    ab[b : 2 * b + 1] = upper
     for k in range(1, b + 1):
-        ab[b + k, : dim - k] = upper[b - k, k:]
+        ab[2 * b + k, : dim - k] = upper[b - k, k:]
     return ab
 
 
@@ -107,6 +120,8 @@ class _Stepper:
     """Per-run solver with precomputed structure for the implicit system.
 
     centre holds the first state's e1; a multi-operator set squares O_j - centre_j.
+    One banded operator fetches its LAPACK routine once and solves every
+    step in buffers allocated here, restoring what the solve overwrote.
     """
 
     def __init__(self, opset: OperatorSet, dt: float, centre: np.ndarray):
@@ -118,10 +133,23 @@ class _Stepper:
             self.band = op.bandwidth
             self.banded = self.band <= _SHIFTED_BAND_LIMIT
             if self.banded:
-                # off-diagonals stay fixed; each step rewrites the diagonal row
-                self.ab = _general_band(op.upper_banded())
-                self.diag = self.ab[self.band].real.copy()
+                upper = op.upper_banded()
+                self.diag = upper[self.band]
+                self.rhs = np.empty(opset.dim, dtype=np.complex128)
+                if self.band == 1:
+                    routine = "gtsv"
+                    self.off = upper[0, 1:].astype(np.complex128)
+                    self.dl = np.empty_like(self.off)
+                    self.du = np.empty_like(self.off)
+                    self.d = np.empty_like(self.rhs)
+                else:
+                    routine = "gbsv"
+                    self.lu_band = _lu_band(upper)
+                    self.lu = np.empty_like(self.lu_band)
+                self.path = f"complex {routine}"
+                (self.lapack,) = sla.get_lapack_funcs((routine,), dtype=np.complex128)
             else:
+                self.path = "complex splu"
                 self.h = op.csr.astype(np.complex128).tocsc()
                 self.identity = sp.identity(opset.dim, dtype=np.complex128, format="csc")
             return
@@ -132,25 +160,43 @@ class _Stepper:
         self.band = max(op.bandwidth for op in centred + squares)
         self.banded = self.band <= _BAND_LIMIT
         if self.banded:
+            self.path = "spd banded"
             u = self.band
             self.s2_band = sum(sq.upper_banded(u) for sq in squares)
             self.o_bands = np.stack([op.upper_banded(u) for op in centred])
         else:
+            self.path = "real splu"
             self.s2_sum = sum(sq.csr for sq in squares)
             self.centred = [op.csr for op in centred]
+
+    def _solve_band(self, z: complex, rhs: np.ndarray) -> np.ndarray:
+        """(H - z) y = rhs in the run's buffers; y is valid until the next call."""
+        self.rhs[:] = rhs
+        if self.band == 1:
+            self.dl[:] = self.off
+            self.du[:] = self.off
+            np.subtract(self.diag, z, out=self.d)
+            *_, y, info = self.lapack(
+                self.dl, self.d, self.du, self.rhs,
+                overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+            )
+        else:
+            b = self.band
+            np.copyto(self.lu, self.lu_band)
+            np.subtract(self.diag, z, out=self.lu[2 * b])
+            _, _, y, info = self.lapack(b, b, self.lu, self.rhs, overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"LAPACK {self.path} returned info={info}")
+        return y
 
     def _solve_shifted(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
         # A = dt[(H - e1)^2 + sigma^2] = dt(H - e1 - i sigma)(H - e1 + i sigma)
         sigma = float(np.sqrt(m.var[0] + 1.0 / self.dt))
         z = complex(m.e1[0], sigma)
-        b = rhs.astype(np.complex128)
         if self.banded:
-            self.ab[self.band] = self.diag - z
-            y = sla.solve_banded(
-                (self.band, self.band), self.ab, b, overwrite_b=True, check_finite=False
-            )
+            y = self._solve_band(z, rhs)
         else:
-            y = spla.splu((self.h - z * self.identity).tocsc()).solve(b)
+            y = spla.splu((self.h - z * self.identity).tocsc()).solve(rhs.astype(np.complex128))
         return (1.0 / (self.dt * sigma)) * y.imag
 
     def _solve_spd(self, m: Moments, rhs: np.ndarray) -> np.ndarray:
@@ -219,7 +265,10 @@ def collapse(
     if v0.norm2 == 0.0:
         raise DegenerateStateError("initial state has zero norm")
     x = v0.amps / np.sqrt(v0.norm2)
+    t_eval = time.perf_counter()
     ev = _generator(opset, x)
+    evaluate_s = time.perf_counter() - t_eval
+    solve_s = 0.0
     _stop_if_non_finite("residual", ev.residual, 0)
     stepper = _Stepper(opset, cfg.dt, ev.m.e1)
     residual_trace = [ev.residual]
@@ -230,9 +279,13 @@ def collapse(
     iterations = 0
     stagnation_reported = False
     for i in range(1, cfg.max_iter + 1):
+        t_step = time.perf_counter()
         x, n_new = _take_step(stepper, x, ev.m)
+        t_eval = time.perf_counter()
+        solve_s += t_eval - t_step
         _stop_if_non_finite("step norm^2", n_new, i)
         ev = _generator(opset, x)
+        evaluate_s += time.perf_counter() - t_eval
         _stop_if_non_finite("residual", ev.residual, i)
         residual_trace.append(ev.residual)
         norm_trace.append(n_new)
@@ -264,6 +317,10 @@ def collapse(
         ),
         converged=converged,
         wall_time=time.perf_counter() - t0,
+        solve_path=stepper.path,
+        bandwidth=stepper.band,
+        evaluate_s=evaluate_s,
+        solve_s=solve_s,
         warnings=warnings,
     )
     return StateVector(x), report

@@ -77,13 +77,15 @@ class SparseSymmetricOperator:
                 raise ContractViolationError("entry index out of range")
             if np.any(self.rows > self.cols):
                 raise ContractViolationError("entries must satisfy row <= col")
-            order = np.lexsort((self.cols, self.rows))
-            self.rows = self.rows[order]
-            self.cols = self.cols[order]
-            self.vals = self.vals[order]
+            # row-major keys; input already in strictly increasing order skips the sort
             keys = self.rows * self.dim + self.cols
-            if np.any(np.diff(keys) == 0):
-                raise ContractViolationError("duplicate (row, col) entry")
+            if np.any(keys[1:] <= keys[:-1]):
+                order = np.argsort(keys, kind="stable")
+                self.rows = self.rows[order]
+                self.cols = self.cols[order]
+                self.vals = self.vals[order]
+                if np.any(np.diff(keys[order]) == 0):
+                    raise ContractViolationError("duplicate (row, col) entry")
 
     # -- constructors ----------------------------------------------------
 
@@ -142,11 +144,7 @@ class SparseSymmetricOperator:
     def csr(self) -> sp.csr_matrix:
         """Symmetrized CSR form (both triangles), cached."""
         if self._csr is None:
-            off = self.rows != self.cols
-            r = np.concatenate([self.rows, self.cols[off]])
-            c = np.concatenate([self.cols, self.rows[off]])
-            v = np.concatenate([self.vals, self.vals[off]])
-            self._csr = sp.coo_matrix((v, (r, c)), shape=(self.dim, self.dim)).tocsr()
+            self._csr = _symmetric_csr(self.dim, self.rows, self.cols, self.vals)
         return self._csr
 
     def to_dense(self) -> np.ndarray:
@@ -166,6 +164,17 @@ class SparseSymmetricOperator:
 
     def square(self) -> "SparseSymmetricOperator":
         return operator_from_csr(self.csr.dot(self.csr))
+
+
+def _symmetric_csr(
+    dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+) -> sp.csr_matrix:
+    """Canonical CSR of the symmetric matrix whose upper triangle is (rows, cols, vals)."""
+    off = rows != cols
+    r = np.concatenate([rows, cols[off]])
+    c = np.concatenate([cols, rows[off]])
+    v = np.concatenate([vals, vals[off]])
+    return sp.coo_matrix((v, (r, c)), shape=(dim, dim)).tocsr()
 
 
 def operator_from_csr(m: sp.spmatrix) -> SparseSymmetricOperator:
@@ -191,6 +200,44 @@ def combine_operators(
             raise ContractViolationError("operator dimensions differ")
         acc = acc + alpha * op.csr
     return operator_from_csr(acc)
+
+
+class _Blend:
+    """The blends (1 - t) a + t b of two operators on their union pattern, built once.
+
+    Each knot's values are aligned to the union of the two upper triangles,
+    and `slots` maps every entry of the symmetric CSR to its triplet, so a
+    blend is one affine combination of two arrays and a gather.  The result
+    equals combine_operators([(1 - t, a), (t, b)]) bitwise: every entry is
+    0 + (1 - t) a_ij + t b_ij, summed in the order the sparse adds use.
+    """
+
+    def __init__(self, a: SparseSymmetricOperator, b: SparseSymmetricOperator):
+        self.dim = a.dim
+        ka, kb = a.rows * a.dim + a.cols, b.rows * b.dim + b.cols
+        keys = np.union1d(ka, kb)
+        self.rows, self.cols = np.divmod(keys, self.dim)
+        self.va = np.zeros(keys.size)
+        self.va[np.searchsorted(keys, ka)] = a.vals
+        self.vb = np.zeros(keys.size)
+        self.vb[np.searchsorted(keys, kb)] = b.vals
+        # the CSR's data carries each entry's triplet index through the conversion
+        pattern = _symmetric_csr(
+            self.dim, self.rows, self.cols, np.arange(keys.size, dtype=np.float64)
+        )
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        self.slots = pattern.data.astype(np.intp)
+
+    def at(self, t: float) -> SparseSymmetricOperator:
+        vals = (1.0 - t) * self.va + t * self.vb
+        if not vals.all():
+            # an entry cancelled exactly; combine_operators drops it, so drop it too
+            keep = vals != 0.0
+            return SparseSymmetricOperator(self.dim, self.rows[keep], self.cols[keep], vals[keep])
+        csr = sp.csr_matrix(
+            (vals[self.slots], self.indices, self.indptr), shape=(self.dim, self.dim)
+        )
+        return SparseSymmetricOperator(self.dim, self.rows, self.cols, vals, _csr=csr)
 
 
 @dataclass

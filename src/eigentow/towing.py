@@ -22,6 +22,7 @@ from .operators import (
     StateVector,
     combine_operators,
 )
+from .operators import _Blend
 
 __all__ = [
     "TowingPlan",
@@ -53,6 +54,10 @@ class TowingPlan:
     + delta_k for k = 0..steps, where the increments must telescope exactly
     to the target.  The rungs split the chain evenly, each rung set blending
     linearly between its two neighbouring knots; refinement subdivides it.
+    A rung on a knot is that knot's set.  Between knots, the union pattern of
+    the two knots, their aligned values and the symmetric CSR structure are
+    built once per knot pair and shared by every target and every doubling,
+    so a rung costs one affine combination of two value arrays.
     """
 
     base_set: OperatorSet
@@ -68,6 +73,9 @@ class TowingPlan:
             raise ContractViolationError("base and target operator counts differ")
         if self.steps < 1:
             raise ParameterError(f"steps must be >= 1, got {self.steps}")
+        # knot k -> the blends toward knot k + 1, built on first use and
+        # shared with every copy _doubled makes
+        self._blends: dict[int, tuple[_Blend, ...]] = {}
         if self.custom_deltas is None:
             self._knots = (self.base_set, self.target_set)
             return
@@ -101,11 +109,13 @@ class TowingPlan:
         k, r = divmod(i * (len(self._knots) - 1), self.steps)
         if r == 0:
             return self._knots[k]
+        blends = self._blends.get(k)
+        if blends is None:
+            blends = self._blends[k] = tuple(
+                _Blend(a, b) for a, b in zip(self._knots[k].ops, self._knots[k + 1].ops)
+            )
         t = r / self.steps
-        return OperatorSet([
-            combine_operators([(1.0 - t, a), (t, b)])
-            for a, b in zip(self._knots[k].ops, self._knots[k + 1].ops)
-        ])
+        return OperatorSet([blend.at(t) for blend in blends])
 
     def _doubled(self) -> TowingPlan:
         """The same knot chain split into twice as many rungs."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from eigentow import (
     implicit_step,
     moments,
 )
-from eigentow.collapse import _SHIFTED_BAND_LIMIT, _Stepper
+from eigentow.collapse import _SHIFTED_BAND_LIMIT, _Stepper, _take_step
 from eigentow.operators import assemble_solve_matrix
 
 
@@ -128,8 +129,26 @@ _REFERENCE_CASES = {
 }
 
 
+# the solve each reference case takes, by the bandwidth of its operator
+_REFERENCE_PATHS = {
+    "diagonal": ("complex gbsv", 0),
+    "jc_chain": ("complex gtsv", 1),
+    "band5_ladder": ("complex gbsv", 5),
+    "exchange_conjugated": ("complex splu", 89),
+    "shifted_1e4": ("complex gtsv", 1),
+}
+
+
 class TestSingleOperatorSolve:
     """implicit_step on one operator against a dense solve of (I - dt B(m)) x' = x."""
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_report_names_solve_path(self, case, rng):
+        op = _REFERENCE_CASES[case](rng)
+        _, report = collapse(
+            OperatorSet([op]), StateVector(rng.standard_normal(op.dim)), CollapseConfig(max_iter=2)
+        )
+        assert (report.solve_path, report.bandwidth) == _REFERENCE_PATHS[case]
 
     # "zeroth": the step freezes the moments at the current state
     @pytest.mark.parametrize("order", ["zeroth"])
@@ -179,12 +198,45 @@ class TestMultiOperatorSolve:
         dt = 0.1
         m = moments(opset, v)
         assert _Stepper(opset, dt, m.e1).banded != permuted
+        _, report = collapse(opset, v, CollapseConfig(dt=dt, max_iter=1))
+        assert report.solve_path == ("real splu" if permuted else "spd banded")
         a = assemble_solve_matrix(opset, m, dt).to_dense()
         expect = np.linalg.solve(a, x)
         expect /= np.linalg.norm(expect)
         got = implicit_step(opset, v, CollapseConfig(dt=dt)).amps
         err = np.linalg.norm(got - expect)
         assert err <= 1e-12, f"relative error {err:.2e}"
+
+
+class TestBandedBuffers:
+    """One _Stepper reuses its LAPACK buffers across steps without carrying state."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _REFERENCE_CASES["diagonal"],
+            _REFERENCE_CASES["jc_chain"],
+            _REFERENCE_CASES["band5_ladder"],
+            lambda rng: SparseSymmetricOperator.diagonal([2.5]),
+        ],
+        ids=["band0", "band1", "band5", "dim1"],
+    )
+    def test_consecutive_steps_match_fresh_steps(self, make, rng, monkeypatch):
+        def no_solve_banded(*args, **kwargs):
+            raise AssertionError("the banded path must call LAPACK directly")
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", no_solve_banded)
+        op = make(rng)
+        opset = OperatorSet([op])
+        x = rng.standard_normal(op.dim)
+        x /= np.linalg.norm(x)
+        stepper = _Stepper(opset, 1.1, moments(opset, StateVector(x)).e1)
+        assert stepper.path in ("complex gtsv", "complex gbsv")
+        fresh = x
+        for _ in range(3):
+            x, _ = _take_step(stepper, x, moments(opset, StateVector(x)))
+            fresh = implicit_step(opset, StateVector(fresh)).amps
+            np.testing.assert_array_equal(x, fresh)
 
 
 class TestNonFinite:
@@ -250,6 +302,9 @@ class TestCollapse:
             assert report.residual_trace[0] == np.linalg.norm(bu) / u.norm
             assert report.residual_trace[-1] <= 1e-10
             assert report.wall_time >= 0.0
+            assert report.solve_path == ("complex gbsv" if len(opset) == 1 else "spd banded")
+            assert report.evaluate_s > 0.0 and report.solve_s > 0.0
+            assert report.evaluate_s + report.solve_s <= report.wall_time
 
     def test_each_step_contracts(self):
         # the generator is negative semidefinite, so every step shrinks the

@@ -47,12 +47,37 @@ class TestSparseSymmetricOperator:
             )
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate"):
             SparseSymmetricOperator(
                 dim=2,
                 rows=np.array([0, 0]),
                 cols=np.array([1, 1]),
                 vals=np.array([1.0, 2.0]),
+            )
+
+    def test_rejects_duplicates_in_unsorted_input(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseSymmetricOperator(
+                dim=2,
+                rows=np.array([0, 0, 1, 0]),
+                cols=np.array([1, 0, 1, 1]),
+                vals=np.ones(4),
+            )
+
+    @pytest.mark.parametrize(
+        "rows, cols, match",
+        [
+            ([0, 1], [0, 3], "out of range"),
+            ([-1, 0], [0, 0], "out of range"),
+            ([0, 1, 2], [0, 2, 1], "row <= col"),
+        ],
+        ids=["col_past_dim", "negative_row", "row_above_col"],
+    )
+    def test_sorted_input_still_validated(self, rows, cols, match):
+        # the keys row*dim + col already increase, so no sort runs
+        with pytest.raises(ValueError, match=match):
+            SparseSymmetricOperator(
+                dim=3, rows=np.array(rows), cols=np.array(cols), vals=np.ones(len(rows))
             )
 
     def test_rejects_asymmetric_dense(self, rng):

@@ -12,6 +12,7 @@ from eigentow import (
     SparseSymmetricOperator,
     StateVector,
     build_hamiltonian,
+    combine_operators,
     make_schedule,
     refine,
     squared_overlap,
@@ -44,6 +45,29 @@ def assert_same_entries(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+def assert_same_operator(a, b):
+    """Bitwise equal triplets and symmetric CSR (structure, dtypes and data)."""
+    assert_same_entries(a, b)
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a.csr, name), getattr(b.csr, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y)
+
+
+@pytest.fixture
+def combine_calls(monkeypatch):
+    """Calls made to towing.combine_operators from here on."""
+    calls = []
+    original = towing.combine_operators
+
+    def counting(terms):
+        calls.append(terms)
+        return original(terms)
+
+    monkeypatch.setattr(towing, "combine_operators", counting)
+    return calls
+
+
 class TestPlan:
     def test_linear_interpolation(self):
         base, target = jc_sets(10, 0.0, 0.5)
@@ -63,24 +87,17 @@ class TestPlan:
             )
         assert_same_entries(plan.step_set(4).ops[0], t)
 
-    def test_custom_rungs_are_prebuilt_knots(self, monkeypatch):
+    def test_custom_rungs_are_prebuilt_knots(self, combine_calls):
         base, target, deltas = bent_path(8)
         plan = TowingPlan(base, target, steps=3, custom_deltas=deltas)
-        calls = []
-        original = towing.combine_operators
-
-        def counting(terms):
-            calls.append(terms)
-            return original(terms)
-
-        monkeypatch.setattr(towing, "combine_operators", counting)
+        combine_calls.clear()
         expect = base.ops[0].to_dense()
         for i, (delta,) in enumerate(deltas, start=1):
             expect = expect + delta.to_dense()
             np.testing.assert_allclose(
                 plan.step_set(i).ops[0].to_dense(), expect, rtol=0, atol=1e-14
             )
-        assert len(calls) == 0
+        assert len(combine_calls) == 0
 
     def test_doubled_odd_rungs_are_knot_midpoints(self):
         base, target, deltas = bent_path(8)
@@ -96,6 +113,45 @@ class TestPlan:
                 atol=1e-14,
             )
             assert finer.step_set(2 * k + 2) is plan.step_set(k + 1)
+
+    def test_blended_rungs_equal_combine_bitwise(self, combine_calls):
+        # a linear plan, its doubling, and a custom plan doubled twice: every
+        # rung between knots is the two-term blend of its neighbouring knots
+        base, target = jc_sets(10, 0.0, 0.5)
+        linear = make_schedule(base, target, steps=4)
+        cbase, ctarget, deltas = bent_path(8)
+        custom = TowingPlan(cbase, ctarget, steps=3, custom_deltas=deltas)
+        combine_calls.clear()
+        knots = [cbase.ops[0]] + [custom.step_set(i).ops[0] for i in (1, 2, 3)]
+        cases = [
+            (linear, [base.ops[0], target.ops[0]]),
+            (linear._doubled(), [base.ops[0], target.ops[0]]),
+            (custom._doubled()._doubled(), knots),
+        ]
+        for plan, chain in cases:
+            for i in range(1, plan.steps):
+                k, r = divmod(i * (len(chain) - 1), plan.steps)
+                if r == 0:
+                    continue
+                t = r / plan.steps
+                got = plan.step_set(i).ops[0]
+                expect = combine_operators([(1.0 - t, chain[k]), (t, chain[k + 1])])
+                assert_same_operator(got, expect)
+        assert len(combine_calls) == 0
+
+    def test_blend_drops_exact_cancellation(self, combine_calls):
+        # (0, 1) is +1 in the base and -1 in the target, so it cancels at t = 1/2
+        base = OperatorSet([SparseSymmetricOperator(3, [0, 0, 1], [0, 1, 2], [1.0, 1.0, 2.0])])
+        target = OperatorSet([SparseSymmetricOperator(3, [0, 1, 2], [1, 2, 2], [-1.0, 4.0, 3.0])])
+        mid = make_schedule(base, target, steps=2).step_set(1).ops[0]
+        assert (0, 1) not in zip(mid.rows.tolist(), mid.cols.tolist())
+        assert_same_operator(
+            mid, combine_operators([(0.5, base.ops[0]), (0.5, target.ops[0])])
+        )
+        np.testing.assert_array_equal(
+            mid.to_dense(), [[0.5, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 3.0, 1.5]]
+        )
+        assert len(combine_calls) == 0
 
     def test_rung_bounds(self):
         base, target = jc_sets(10, 0.0, 0.5)
